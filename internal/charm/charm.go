@@ -113,7 +113,6 @@ type fifo struct {
 }
 
 func (q *fifo) empty() bool { return q.head >= len(q.buf) }
-func (q *fifo) len() int    { return len(q.buf) - q.head }
 func (q *fifo) push(m message) {
 	if q.head > 64 && q.head*2 > len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
@@ -420,10 +419,4 @@ func (c *Ctx) After(d sim.Time, h HandlerID, data any) sim.Timer {
 func (rt *Runtime) TimerAt(t sim.Time, w cluster.WorkerID, h HandlerID, data any) sim.Timer {
 	d := rt.getDelivery(rt.pes[w], 0, message{handler: h, data: data, enqueuedAt: t}, true)
 	return rt.Eng.At(t, d.fn)
-}
-
-// QueueLen returns the number of pending messages on worker w (diagnostics).
-func (rt *Runtime) QueueLen(w cluster.WorkerID) int {
-	pe := rt.pes[w]
-	return pe.expedited.len() + pe.normal.len()
 }

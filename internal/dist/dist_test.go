@@ -13,6 +13,7 @@ import (
 	"tramlib/internal/rng"
 	"tramlib/internal/rt"
 	"tramlib/internal/transport"
+	"tramlib/internal/wire"
 )
 
 // The test binary doubles as the worker binary: TestMain routes dist-worker
@@ -481,7 +482,4 @@ func TestValidateRejectsPartitionedConfig(t *testing.T) {
 
 type nopRemote struct{}
 
-func (nopRemote) SendOne(cluster.WorkerID, uint64)              {}
-func (nopRemote) SendPayloads(cluster.WorkerID, []uint64, bool) {}
-func (nopRemote) SendItems(cluster.ProcID, []rt.Item, bool)     {}
-func (nopRemote) SendRuns(cluster.ProcID, []rt.Run, bool)       {}
+func (nopRemote) Send(wire.Batch) {}

@@ -78,12 +78,14 @@ func WorkerMain(build BuildFunc) {
 	os.Exit(0)
 }
 
-// remote implements rt.Remote over the transport mesh: it resolves runtime
-// destinations to peer links and converts the runtime's batch types into
-// wire types in per-peer scratch. Which bytes then move — a socket write or
-// an in-place ring encode — is the link's business; the runtime's
-// CrossCounts accounting, deadline-flush requests, and quiescence protocol
-// upstream never see the difference.
+// remote implements rt.Remote over the transport mesh, and only routes:
+// each destination process is resolved once, after Connect, to what carries
+// batches toward it — its direct peer link, or on a hierarchical run the
+// node-leader Router for a process more than one hop away — and every batch
+// the runtime seals goes there as it is. Which bytes then move — a socket
+// write, an in-place ring encode, a relay enqueue — is the link's business;
+// the runtime's CrossCounts accounting, deadline-flush requests, and
+// quiescence protocol upstream never see the difference.
 //
 // Send failures (a dead peer, a ring stalled past its deadline) cannot be
 // returned to the kernel: the first one is latched, the runtime is stopped,
@@ -91,21 +93,25 @@ func WorkerMain(build BuildFunc) {
 // to the coordinator.
 type remote struct {
 	topo cluster.Topology
-	mesh *transport.Mesh
 	rtm  *rt.Runtime
-	self int
-	// hier and router are set on hierarchical runs: a destination that is
-	// not one hop away gets its batch encoded here and relayed through the
-	// node-leader path instead of a direct peer send.
-	hier   *transport.HierTopo
+	// links[q] is the direct link to process q, nil where batches toward q
+	// go through router instead (a hierarchical run's processes more than
+	// one hop away). Both are set by route before the runtime starts.
+	links  []*transport.Link
 	router *transport.Router
-	// convs[q] is the conversion scratch toward destination q, reused under
-	// its lock across batch sends (worker and progress goroutines emit
-	// concurrently toward the same destination).
-	convs []*conv
 
 	failOnce sync.Once
 	failC    chan sendFailure // capacity 1; carries the first send failure
+}
+
+// route resolves every destination process to its direct link, or — when
+// the mesh has none — to the relay.
+func (t *remote) route(mesh *transport.Mesh, router *transport.Router) {
+	t.links = make([]*transport.Link, t.topo.TotalProcs())
+	for q := range t.links {
+		t.links[q] = mesh.Peer(q)
+	}
+	t.router = router
 }
 
 // sendFailure is a latched data-plane send failure: the peer the send was
@@ -114,13 +120,6 @@ type remote struct {
 type sendFailure struct {
 	peer int
 	err  error
-}
-
-type conv struct {
-	mu    sync.Mutex
-	items []wire.Item
-	runs  []wire.Run
-	raw   []byte // encoded-frame scratch for relayed (multi-hop) sends
 }
 
 // fail latches the first send failure and stops the runtime so the worker
@@ -132,109 +131,32 @@ func (t *remote) fail(peer int, err error) {
 	})
 }
 
-// injectSend applies the dist.send-batch fault point; true means the batch
-// must be dropped instead of sent (an injected Drop deliberately imbalances
-// the cross counters — the run can then only end via RunTimeout — while an
-// injected Error exercises the send-failure path).
-func (t *remote) injectSend(peer int) bool {
+// Send ships one sealed batch toward its destination process: a payloads
+// batch addresses a worker, the other shapes a process. A relayed batch is
+// encoded once, into the Router's queue; its send failures surface
+// asynchronously through the Router's OnSendError. The dist.send-batch
+// fault point fires first; an injected Drop discards the batch (it
+// deliberately imbalances the cross counters — the run can then only end
+// via RunTimeout) while an injected Error exercises the send-failure path.
+func (t *remote) Send(b wire.Batch) {
+	q := int(b.Dest)
+	if b.Kind == wire.KindPayloads {
+		q = int(t.topo.ProcOf(cluster.WorkerID(b.Dest)))
+	}
 	switch faultinject.Fire(faultinject.PointSendBatch) {
 	case faultinject.Drop:
-		return true
+		return
 	case faultinject.Error:
-		t.fail(peer, errors.New("injected send-batch fault"))
-		return true
-	}
-	return false
-}
-
-// direct reports whether destination process q is one hop away — always, on
-// a flat mesh; on a hierarchical run only for linked pairs. Direct sends use
-// the typed zero-copy peer path; everything else is encoded and relayed.
-func (t *remote) direct(q int) bool {
-	return t.hier == nil || t.hier.Linked(t.self, q)
-}
-
-func (t *remote) sendPayloads(peer int, dest uint32, payloads []uint64, full bool) error {
-	if t.direct(peer) {
-		return t.mesh.Peer(peer).SendPayloads(dest, payloads, full)
-	}
-	c := t.convs[peer]
-	c.mu.Lock()
-	c.raw = wire.AppendPayloads(c.raw[:0], uint32(t.self), dest, payloads, full)
-	t.router.Send(peer, c.raw)
-	c.mu.Unlock()
-	return nil
-}
-
-func (t *remote) SendOne(dest cluster.WorkerID, value uint64) {
-	peer := int(t.topo.ProcOf(dest))
-	if t.injectSend(peer) {
+		t.fail(q, errors.New("injected send-batch fault"))
 		return
 	}
-	var one [1]uint64
-	one[0] = value
-	if err := t.sendPayloads(peer, uint32(dest), one[:], false); err != nil {
-		t.fail(peer, err)
-	}
-}
-
-func (t *remote) SendPayloads(dest cluster.WorkerID, payloads []uint64, full bool) {
-	peer := int(t.topo.ProcOf(dest))
-	if !t.injectSend(peer) {
-		if err := t.sendPayloads(peer, uint32(dest), payloads, full); err != nil {
-			t.fail(peer, err)
-		}
-	}
-	t.rtm.RecyclePayloads(payloads)
-}
-
-func (t *remote) SendItems(dest cluster.ProcID, items []rt.Item, full bool) {
-	if t.injectSend(int(dest)) {
-		t.rtm.RecycleItems(items)
+	l := t.links[q]
+	if l == nil {
+		t.router.SendBatch(q, b)
 		return
 	}
-	c := t.convs[dest]
-	c.mu.Lock()
-	c.items = c.items[:0]
-	for _, it := range items {
-		c.items = append(c.items, wire.Item{Dest: uint32(it.Dest), Val: it.Val})
-	}
-	var err error
-	if t.direct(int(dest)) {
-		err = t.mesh.Peer(int(dest)).SendItems(uint32(dest), c.items, full)
-	} else {
-		c.raw = wire.AppendItems(c.raw[:0], uint32(t.self), uint32(dest), c.items, full)
-		t.router.Send(int(dest), c.raw)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		t.fail(int(dest), err)
-	}
-	t.rtm.RecycleItems(items)
-}
-
-func (t *remote) SendRuns(dest cluster.ProcID, runs []rt.Run, full bool) {
-	if !t.injectSend(int(dest)) {
-		c := t.convs[dest]
-		c.mu.Lock()
-		c.runs = c.runs[:0]
-		for _, r := range runs {
-			c.runs = append(c.runs, wire.Run{Dest: uint32(r.Dest), Payloads: r.Payloads})
-		}
-		var err error
-		if t.direct(int(dest)) {
-			err = t.mesh.Peer(int(dest)).SendRuns(uint32(dest), c.runs, full)
-		} else {
-			c.raw = wire.AppendRuns(c.raw[:0], uint32(t.self), uint32(dest), c.runs, full)
-			t.router.Send(int(dest), c.raw)
-		}
-		c.mu.Unlock()
-		if err != nil {
-			t.fail(int(dest), err)
-		}
-	}
-	for _, r := range runs {
-		t.rtm.RecyclePayloads(r.Payloads)
+	if err := l.Send(b); err != nil {
+		t.fail(q, err)
 	}
 }
 
@@ -393,12 +315,9 @@ func runWorker(proc cluster.ProcID, ctrlPath string, build BuildFunc) error {
 	}
 
 	// Build the runtime around the mesh-backed remote (the remote needs the
-	// runtime for pools and the mesh for links; both are set after New).
-	tr := &remote{topo: topo, self: int(proc), hier: hier,
-		convs: make([]*conv, setup.Procs), failC: make(chan sendFailure, 1)}
-	for i := range tr.convs {
-		tr.convs[i] = &conv{}
-	}
+	// runtime to stop it on failure and the mesh for links; both are set
+	// after New).
+	tr := &remote{topo: topo, failC: make(chan sendFailure, 1)}
 	cfg := app.RT
 	cfg.Part = &rt.Partition{Proc: proc, Remote: tr}
 	// On a serve run the frontend process's runtime runs in serve mode: its
@@ -448,7 +367,6 @@ func runWorker(proc cluster.ProcID, ctrlPath string, build BuildFunc) error {
 		LinkDelay:     setup.LinkDelay,
 		LinkJitter:    setup.LinkJitter,
 	}, pr.dispatchFrame, peerErr)
-	tr.mesh = mesh
 	defer mesh.Close()
 
 	// Inbound endpoints up, then report Listening.
@@ -486,8 +404,9 @@ func runWorker(proc cluster.ProcID, ctrlPath string, build BuildFunc) error {
 	// loops are already running, hence the atomic publish into pr — data
 	// frames only flow after the coordinator's Start barrier, which follows
 	// every worker's Ready, which follows this store.
+	var router *transport.Router
 	if hier != nil {
-		router := transport.NewRouter(transport.RouterConfig{
+		router = transport.NewRouter(transport.RouterConfig{
 			Self:      int(proc),
 			Topo:      *hier,
 			Mesh:      mesh,
@@ -500,9 +419,9 @@ func runWorker(proc cluster.ProcID, ctrlPath string, build BuildFunc) error {
 			},
 		})
 		defer router.Close()
-		tr.router = router
 		pr.router.Store(router)
 	}
+	tr.route(mesh, router)
 	if err := ctrl.send(self, opReady, nil); err != nil {
 		return lost("connect", err)
 	}
@@ -752,22 +671,8 @@ type peerReader struct {
 	// hier is set before the mesh exists; router is published atomically
 	// after Connect (the receive goroutines are already running by then, but
 	// data frames only flow after the coordinator's Start barrier).
-	hier       *transport.HierTopo
-	router     atomic.Pointer[transport.Router]
-	mu         sync.Mutex // guards runScratch: links dispatch concurrently
-	runScratch []rt.Run
-}
-
-// checkDest rejects frames addressed to a worker this process does not host:
-// the wire format is unchecksummed, so a corrupt-but-well-formed (or
-// version-skewed) frame must surface as a protocol error, never as an
-// out-of-range index inside the runtime.
-func (pr *peerReader) checkDest(dest uint32) error {
-	w := cluster.WorkerID(dest)
-	if int(dest) >= pr.topo.TotalWorkers() || pr.topo.ProcOf(w) != pr.proc {
-		return fmt.Errorf("dist: frame addressed to worker %d, which proc %d does not host", dest, pr.proc)
-	}
-	return nil
+	hier   *transport.HierTopo
+	router atomic.Pointer[transport.Router]
 }
 
 // dispatchFrame routes one decoded data frame. It is the transport.Handler
@@ -784,7 +689,7 @@ func (pr *peerReader) dispatchFrame(f wire.Frame) error {
 		}
 		return pr.routeFrame(f, nil)
 	}
-	return pr.deliver(f)
+	return pr.rtm.Receive(f)
 }
 
 // routeFrame delivers a frame terminating at this process or relays it
@@ -797,7 +702,7 @@ func (pr *peerReader) routeFrame(f wire.Frame, raw []byte) error {
 		return err
 	}
 	if dest == int(pr.proc) {
-		return pr.deliver(f)
+		return pr.rtm.Receive(f)
 	}
 	r := pr.router.Load()
 	if r == nil {
@@ -826,69 +731,4 @@ func (pr *peerReader) destProc(f wire.Frame) (int, error) {
 		return int(f.Dest), nil
 	}
 	return 0, fmt.Errorf("dist: unexpected %v frame on data connection", f.Kind)
-}
-
-// deliver routes one decoded data frame into the runtime; the frame's
-// payload aliases transport-owned memory, so items are copied into pooled
-// runtime storage here.
-func (pr *peerReader) deliver(f wire.Frame) error {
-	rtm := pr.rtm
-	switch f.Kind {
-	case wire.KindPayloads:
-		if err := pr.checkDest(f.Dest); err != nil {
-			return err
-		}
-		dest := cluster.WorkerID(f.Dest)
-		if f.Count == 1 {
-			var one [1]uint64
-			rtm.EnqueueOne(dest, f.Payloads(one[:])[0])
-			return nil
-		}
-		dst := rtm.AllocPayloads(int(f.Count))
-		f.Payloads(dst)
-		rtm.EnqueuePayloads(dest, dst)
-	case wire.KindItems:
-		var bad error
-		dst := rtm.AllocItemSlice(int(f.Count))
-		i := 0
-		f.EachItem(func(dest uint32, val uint64) {
-			if bad == nil {
-				bad = pr.checkDest(dest)
-			}
-			dst[i] = rt.Item{Dest: cluster.WorkerID(dest), Val: val}
-			i++
-		})
-		if bad != nil {
-			rtm.RecycleItems(dst)
-			return bad
-		}
-		rtm.EnqueueItems(dst)
-	case wire.KindRuns:
-		var bad error
-		pr.mu.Lock()
-		rs := pr.runScratch[:0]
-		f.EachRun(func(dest uint32, n int, dec func([]uint64)) {
-			if bad == nil {
-				bad = pr.checkDest(dest)
-			}
-			p := rtm.AllocPayloads(n)
-			dec(p)
-			rs = append(rs, rt.Run{Dest: cluster.WorkerID(dest), Payloads: p})
-		})
-		pr.runScratch = rs
-		if bad != nil {
-			// Recycle while still holding mu: rs aliases the shared
-			// runScratch, which another link's dispatch would reuse.
-			for _, r := range rs {
-				rtm.RecyclePayloads(r.Payloads)
-			}
-			pr.mu.Unlock()
-			return bad
-		}
-		rtm.EnqueueRuns(rs)
-		pr.mu.Unlock()
-	default:
-		return fmt.Errorf("dist: unexpected %v frame on data connection", f.Kind)
-	}
-	return nil
 }

@@ -28,7 +28,7 @@
 //   - Path selection. Below DirectBelow events/sec, aggregation cannot
 //     amortize its framing (the per-item wait dominates the per-message
 //     saving) and the route switches to Direct framing: inserts bypass the
-//     buffers through the same postInline/SendOne path the Direct scheme
+//     buffers through the same postInline/sendOne path the Direct scheme
 //     uses. Hysteresis (switch back only above DirectBelow×Hysteresis)
 //     keeps a rate sitting on the threshold from flapping.
 //
@@ -46,7 +46,7 @@
 //     pins adaptive results element-wise identical to static on every
 //     backend × scheme × transport.
 //  2. Quiescence is oblivious to path switches. The Direct fast path is the
-//     pre-existing postInline/SendOne flow with the pre-existing accounting
+//     pre-existing postInline/sendOne flow with the pre-existing accounting
 //     (inflight, sentCross, ingress credits); the four-counter termination
 //     detection cannot distinguish an adaptive run from a static one.
 //  3. Items stranded in a buffer by a path switch (buffered→Direct stops

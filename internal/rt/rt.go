@@ -45,11 +45,16 @@
 // process's workers run as goroutines, and batches addressed outside it are
 // handed to a Remote transport instead of a local inbox — internal/dist
 // implements Remote over internal/transport's pluggable peer links
-// (wire-framed Unix sockets, or mmap'd shared-memory rings between
-// same-node processes), running each ProcID as a real OS process.
+// (wire-framed Unix sockets, TCP streams, or mmap'd shared-memory rings
+// between same-node processes), running each ProcID as a real OS process.
 // Intra-process traffic still flows through the internal/shmem buffers
 // exactly as in whole-topology mode; only the cross-process legs change
-// transport. The runtime is transport-agnostic by construction: Remote is
+// transport. Both directions of the seam speak wire batches: a sealed batch
+// leaves as one wire.Batch through Remote.Send (Item and Run are the wire's
+// own types, so nothing is converted) and its storage is recycled when Send
+// returns; an arriving frame enters through Receive, which checks that this
+// process hosts every destination and copies the items into pooled storage.
+// The runtime is transport-agnostic by construction: Remote and Receive are
 // the entire seam, so the quiescence counters, deadline-flush requests, and
 // batch-ownership rules below hold identically whichever link kind carries
 // a batch. In this mode local quiescence (no producing worker, no in-flight
@@ -91,15 +96,14 @@ import (
 	"tramlib/internal/core"
 	"tramlib/internal/shmem"
 	"tramlib/internal/stats"
+	"tramlib/internal/wire"
 )
 
 // Item is one in-flight application item: a packed payload addressed to a
 // destination worker. The process-addressed schemes ship it whole (the
-// paper's <item, dest_w> framing) instead of stealing payload bits.
-type Item struct {
-	Dest cluster.WorkerID
-	Val  uint64
-}
+// paper's <item, dest_w> framing) instead of stealing payload bits. It is
+// the wire's item, so a batch crosses the process seam without conversion.
+type Item = wire.Item
 
 // DeliverFunc receives one item at its destination. It runs on the
 // destination worker's goroutine (ctx.Self() is the destination), so
@@ -115,23 +119,18 @@ type KernelFunc func(ctx *Ctx, step int)
 // only consumes). Called once per worker before the run starts.
 type SpawnFunc func(w cluster.WorkerID) (steps int, kernel KernelFunc)
 
-// Remote is the cross-process transport of partitioned mode: sealed batches
-// addressed outside the local process are flushed through it (internal/dist
-// implements it by routing to internal/transport peer links — sockets or
-// shared-memory rings; the runtime never knows which). Implementations
-// receive ownership of every slice argument and must return the storage via
-// the runtime's Recycle methods once encoded. Calls arrive from worker and
+// Remote is the cross-process transport of partitioned mode: every sealed
+// batch addressed outside the local process leaves through Send as a
+// wire.Batch — a worker-addressed payloads batch (WW wiring, Direct items),
+// an items batch (WPs, PP) or a runs batch (WsP) — and arrives at the
+// destination runtime through Receive. internal/dist implements it by
+// picking a peer link or the node-leader relay; the runtime never knows
+// which. Send must encode the batch before returning: the runtime recycles
+// the batch's storage as soon as it returns. Calls arrive from worker and
 // progress goroutines concurrently and may block on backpressure (a full
 // socket buffer or ring).
 type Remote interface {
-	// SendOne ships one unbuffered item (Direct wiring).
-	SendOne(dest cluster.WorkerID, value uint64)
-	// SendPayloads ships a worker-addressed batch (WW wiring).
-	SendPayloads(dest cluster.WorkerID, payloads []uint64, full bool)
-	// SendItems ships an ungrouped process-addressed batch (WPs, PP).
-	SendItems(dest cluster.ProcID, items []Item, full bool)
-	// SendRuns ships a source-grouped process-addressed batch (WsP).
-	SendRuns(dest cluster.ProcID, runs []Run, full bool)
+	Send(b wire.Batch)
 }
 
 // Partition restricts a runtime to one process of the topology (see the
@@ -295,12 +294,9 @@ const (
 )
 
 // Run is one pre-grouped run: payload words all addressed to a single
-// destination worker (the mkRuns message body, and the unit Remote.SendRuns
-// ships for WsP).
-type Run struct {
-	Dest     cluster.WorkerID
-	Payloads []uint64
-}
+// destination worker (the mkRuns message body, and the unit a WsP runs
+// batch carries over the wire).
+type Run = wire.Run
 
 // msg is one inbox delivery. Nodes and their slices are pooled; see the
 // package comment for the ownership rules.
@@ -341,7 +337,7 @@ type worker struct {
 	// message at a time, and runs are consumed before the next grouping).
 	runScratch []Run
 
-	// remoteRuns is the partitioned-mode WsP emit scratch: Remote.SendRuns
+	// remoteRuns is the partitioned-mode WsP emit scratch: Remote.Send
 	// encodes synchronously, so the headers are dead when it returns and the
 	// slice can be reused by the next sealed batch of this worker's buffers.
 	remoteRuns []Run
@@ -631,65 +627,89 @@ func (rt *Runtime) LocallyQuiet() bool {
 	return rt.producing.Load() == 0 && rt.inflight.Load() == 0
 }
 
-// AllocPayloads returns pooled storage for n payload words (for decoding
-// incoming frames; ownership passes back on Enqueue).
-func (rt *Runtime) AllocPayloads(n int) []uint64 { return rt.u64s.get(n) }
-
-// AllocItemSlice returns pooled storage for n items.
-func (rt *Runtime) AllocItemSlice(n int) []Item { return rt.itemsPkd.get(n) }
-
-// RecyclePayloads returns payload storage a Remote finished encoding.
-func (rt *Runtime) RecyclePayloads(s []uint64) { rt.putU64(s) }
-
-// RecycleItems returns item storage a Remote finished encoding.
-func (rt *Runtime) RecycleItems(s []Item) { rt.putItems(s) }
-
-// EnqueueOne injects one item received off the wire for local worker dest
-// (the Direct wiring's single-item frames). Safe from any goroutine.
-func (rt *Runtime) EnqueueOne(dest cluster.WorkerID, value uint64) {
-	rt.inflight.Add(1)
-	rt.recvCross.Add(1)
-	rt.postInline(dest, value)
-}
-
-// EnqueuePayloads injects a worker-addressed batch received off the wire.
-// payloads must come from AllocPayloads; ownership transfers.
-func (rt *Runtime) EnqueuePayloads(dest cluster.WorkerID, payloads []uint64) {
-	rt.inflight.Add(int64(len(payloads)))
-	rt.recvCross.Add(int64(len(payloads)))
+// Receive injects one decoded data frame sent by another process
+// (partitioned mode; internal/dist calls it from the link receive loops).
+// The frame aliases transport memory, so its items are copied into pooled
+// storage and posted to the local workers exactly as a local batch would
+// be. A frame addressing a worker this process does not host is rejected
+// with an error and its storage recycled: the wire format is unchecksummed,
+// so a corrupt-but-well-formed (or version-skewed) frame must surface as a
+// protocol error, never as an out-of-range index. Safe from any goroutine.
+func (rt *Runtime) Receive(f wire.Frame) error {
 	m := rt.getMsg()
-	m.kind = mkToWorker
-	m.payloads = payloads
-	rt.post(rt.workers[dest], m)
-}
-
-// EnqueueItems injects a process-addressed batch received off the wire; a
-// local worker (round-robin, as in whole-topology mode) groups it by
-// destination worker. items must come from AllocItemSlice; ownership
-// transfers.
-func (rt *Runtime) EnqueueItems(items []Item) {
-	rt.inflight.Add(int64(len(items)))
-	rt.recvCross.Add(int64(len(items)))
-	m := rt.getMsg()
-	m.kind = mkItems
-	m.items = items
-	rt.post(rt.nextRecv(rt.part.Proc), m)
-}
-
-// EnqueueRuns injects a source-grouped batch received off the wire. The runs
-// slice itself is copied (callers reuse their scratch); each run's payload
-// slice must come from AllocPayloads and transfers ownership.
-func (rt *Runtime) EnqueueRuns(runs []Run) {
 	var n int64
-	for _, r := range runs {
-		n += int64(len(r.Payloads))
+	var err error
+	switch f.Kind {
+	case wire.KindPayloads:
+		m.kind = mkToWorker
+		if f.Count == 1 {
+			m.inlined = true
+			m.payloads = f.Payloads(m.inline[:1])
+		} else {
+			m.payloads = f.Payloads(rt.u64s.get(int(f.Count)))
+		}
+		n = int64(f.Count)
+		err = rt.checkHosted(f.Dest)
+	case wire.KindItems:
+		m.kind = mkItems
+		m.items = f.Items(rt.itemsPkd.get(int(f.Count)))
+		n = int64(f.Count)
+		for _, it := range m.items {
+			if err = rt.checkHosted(it.Dest); err != nil {
+				break
+			}
+		}
+	case wire.KindRuns:
+		m.kind = mkRuns
+		m.runs = f.Runs(m.runs[:0], rt.u64s.get)
+		for _, r := range m.runs {
+			n += int64(len(r.Payloads))
+			if err == nil {
+				err = rt.checkHosted(r.Dest)
+			}
+		}
+	default:
+		err = fmt.Errorf("rt: unexpected %v frame on a data link", f.Kind)
+	}
+	if err != nil {
+		if m.inlined {
+			m.payloads = nil
+		}
+		rt.recycle(m.payloads, m.items, m.runs)
+		rt.putMsg(m)
+		return err
 	}
 	rt.inflight.Add(n)
 	rt.recvCross.Add(n)
-	m := rt.getMsg()
-	m.kind = mkRuns
-	m.runs = append(m.runs[:0], runs...)
-	rt.post(rt.nextRecv(rt.part.Proc), m)
+	if m.kind == mkToWorker {
+		rt.post(rt.workers[f.Dest], m)
+	} else {
+		rt.post(rt.nextRecv(rt.part.Proc), m)
+	}
+	return nil
+}
+
+// checkHosted rejects a received item addressed to a worker this process
+// does not host.
+func (rt *Runtime) checkHosted(dest uint32) error {
+	if int(dest) >= len(rt.workers) || rt.workers[dest] == nil {
+		return fmt.Errorf("rt: frame addressed to worker %d, which proc %d does not host", dest, rt.part.Proc)
+	}
+	return nil
+}
+
+// recycle returns one batch's pooled storage: whichever of payloads, items
+// and runs it carries.
+func (rt *Runtime) recycle(payloads []uint64, items []Item, runs []Run) {
+	if payloads != nil {
+		rt.putU64(payloads)
+	}
+	if items != nil {
+		rt.putItems(items)
+	}
+	for _, r := range runs {
+		rt.putU64(r.Payloads)
+	}
 }
 
 // --- pools ---
@@ -723,8 +743,7 @@ func (rt *Runtime) post(w *worker, m *msg) {
 // remote-process destination goes to the wire instead.
 func (rt *Runtime) postInline(dest cluster.WorkerID, value uint64) {
 	if rt.part != nil && rt.topo.ProcOf(dest) != rt.part.Proc {
-		rt.sentCross.Add(1)
-		rt.part.Remote.SendOne(dest, value)
+		rt.sendOne(dest, value)
 		rt.finish(1)
 		return
 	}
@@ -734,6 +753,25 @@ func (rt *Runtime) postInline(dest cluster.WorkerID, value uint64) {
 	m.inline[0] = value
 	m.payloads = m.inline[:1]
 	rt.post(rt.workers[dest], m)
+}
+
+// sendRemote ships a sealed batch of n items to another process through the
+// partition's Remote, counting the items as sent before they leave (the
+// caller retires them from the in-flight count afterwards), and recycles
+// the batch's storage once the send has returned.
+func (rt *Runtime) sendRemote(b wire.Batch, n int64) {
+	rt.sentCross.Add(n)
+	b.Source = uint32(rt.part.Proc)
+	rt.part.Remote.Send(b)
+	rt.recycle(b.Payloads, b.Items, b.Runs)
+}
+
+// sendOne ships one unbuffered item to another process as a one-word
+// payloads batch (Direct framing).
+func (rt *Runtime) sendOne(dest cluster.WorkerID, value uint64) {
+	one := rt.u64s.get(1)
+	one[0] = value
+	rt.sendRemote(wire.Batch{Kind: wire.KindPayloads, Dest: uint32(dest), Payloads: one}, 1)
 }
 
 // nextRecv picks the receiving worker of process p round-robin (the Charm++
@@ -750,8 +788,7 @@ func (rt *Runtime) emitToWorker(dest cluster.WorkerID, payloads []uint64, full b
 	rt.accountBatch(full)
 	if rt.part != nil && rt.topo.ProcOf(dest) != rt.part.Proc {
 		n := int64(len(payloads))
-		rt.sentCross.Add(n)
-		rt.part.Remote.SendPayloads(dest, payloads, full)
+		rt.sendRemote(wire.Batch{Kind: wire.KindPayloads, Full: full, Dest: uint32(dest), Payloads: payloads}, n)
 		rt.finish(n)
 		return
 	}
@@ -770,21 +807,20 @@ func (rt *Runtime) emitToProc(owner *worker, dst cluster.ProcID, items []Item, g
 	rt.accountBatch(full)
 	if rt.part != nil && dst != rt.part.Proc {
 		n := int64(len(items))
-		rt.sentCross.Add(n)
+		b := wire.Batch{Kind: wire.KindItems, Full: full, Dest: uint32(dst), Items: items}
 		if grouped {
 			// Source-side grouping happens here even for the wire: the runs
 			// travel pre-grouped, so the receiving process only scatters.
-			// SendRuns encodes before returning, so the owner's scratch is
+			// Send encodes before returning, so the owner's scratch is
 			// reusable immediately (only the owning goroutine seals this
 			// buffer — the same single-producer discipline as the buffer
 			// itself).
 			runs := rt.groupRuns(owner.remoteRuns[:0], dst, items)
 			owner.remoteRuns = runs[:0]
 			rt.putItems(items)
-			rt.part.Remote.SendRuns(dst, runs, full)
-		} else {
-			rt.part.Remote.SendItems(dst, items, full)
+			b = wire.Batch{Kind: wire.KindRuns, Full: full, Dest: uint32(dst), Runs: runs}
 		}
+		rt.sendRemote(b, n)
 		rt.finish(n)
 		return
 	}
@@ -803,7 +839,7 @@ func (rt *Runtime) emitToProc(owner *worker, dst cluster.ProcID, items []Item, g
 // groupRuns counting-sorts items by destination rank into pooled per-run
 // payload slices.
 func (rt *Runtime) groupRuns(runs []Run, dst cluster.ProcID, items []Item) []Run {
-	first := rt.topo.FirstWorkerOf(dst)
+	first := int(rt.topo.FirstWorkerOf(dst))
 	t := rt.topo.WorkersPerProc
 	var scratch [][]uint64
 	if t <= 64 {
@@ -813,7 +849,7 @@ func (rt *Runtime) groupRuns(runs []Run, dst cluster.ProcID, items []Item) []Run
 		scratch = make([][]uint64, t)
 	}
 	for _, it := range items {
-		r := int(it.Dest - first)
+		r := int(it.Dest) - first
 		if scratch[r] == nil {
 			scratch[r] = rt.allocU64(0)
 		}
@@ -821,7 +857,7 @@ func (rt *Runtime) groupRuns(runs []Run, dst cluster.ProcID, items []Item) []Run
 	}
 	for r := 0; r < t; r++ {
 		if scratch[r] != nil {
-			runs = append(runs, Run{Dest: first + cluster.WorkerID(r), Payloads: scratch[r]})
+			runs = append(runs, Run{Dest: uint32(first + r), Payloads: scratch[r]})
 		}
 	}
 	return runs
@@ -890,12 +926,12 @@ func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 		if rt.routes != nil && rt.routeSend(int(dstProc), dest, value) {
 			return
 		}
-		w.wpsBufs[dstProc].Push(Item{Dest: dest, Val: value})
+		w.wpsBufs[dstProc].Push(Item{Dest: uint32(dest), Val: value})
 	case core.PP:
 		if rt.routes != nil && rt.routeSend(int(dstProc), dest, value) {
 			return
 		}
-		rt.procs[w.proc].ppBufs[dstProc].Push(Item{Dest: dest, Val: value})
+		rt.procs[w.proc].ppBufs[dstProc].Push(Item{Dest: uint32(dest), Val: value})
 	}
 }
 
@@ -1080,7 +1116,7 @@ func (w *worker) scatterRuns(runs []Run) {
 	rt := w.rt
 	var own int64
 	for _, r := range runs {
-		if r.Dest == w.id {
+		if cluster.WorkerID(r.Dest) == w.id {
 			for _, v := range r.Payloads {
 				rt.deliver(&w.ctx, v)
 			}

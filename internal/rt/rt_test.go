@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"tramlib/internal/cluster"
 	"tramlib/internal/core"
 	"tramlib/internal/rng"
+	"tramlib/internal/wire"
 )
 
 // histoRun drives a histogram-shaped workload: every worker sends z items to
@@ -322,48 +324,37 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// loopback wires partitioned runtimes together in-process: each proc's
-// Remote hands batches straight to the peer runtime's Enqueue methods,
-// mimicking what internal/dist does over sockets (including the ownership
-// hand-off through the pools).
+// loopback wires partitioned runtimes together in-process the way
+// internal/dist does across processes: each batch a proc's Remote receives
+// is encoded into a wire frame, decoded again, and handed to the destination
+// runtime's Receive — so the loopback also round-trips every scheme's batch
+// shape through the wire format.
 type loopback struct {
+	t     *testing.T
 	topo  cluster.Topology
 	peers []*Runtime // by ProcID
-	self  *Runtime
+	self  cluster.ProcID
 }
 
-func (l *loopback) peerOf(w cluster.WorkerID) *Runtime { return l.peers[l.topo.ProcOf(w)] }
-
-func (l *loopback) SendOne(dest cluster.WorkerID, value uint64) {
-	l.peerOf(dest).EnqueueOne(dest, value)
-}
-
-func (l *loopback) SendPayloads(dest cluster.WorkerID, payloads []uint64, full bool) {
-	p := l.peerOf(dest)
-	dst := p.AllocPayloads(len(payloads))
-	copy(dst, payloads)
-	p.EnqueuePayloads(dest, dst)
-	l.self.RecyclePayloads(payloads)
-}
-
-func (l *loopback) SendItems(dest cluster.ProcID, items []Item, full bool) {
-	p := l.peers[dest]
-	dst := p.AllocItemSlice(len(items))
-	copy(dst, items)
-	p.EnqueueItems(dst)
-	l.self.RecycleItems(items)
-}
-
-func (l *loopback) SendRuns(dest cluster.ProcID, runs []Run, full bool) {
-	p := l.peers[dest]
-	out := make([]Run, len(runs))
-	for i, r := range runs {
-		dst := p.AllocPayloads(len(r.Payloads))
-		copy(dst, r.Payloads)
-		out[i] = Run{Dest: r.Dest, Payloads: dst}
-		l.self.RecyclePayloads(r.Payloads)
+func (l *loopback) Send(b wire.Batch) {
+	q := cluster.ProcID(b.Dest)
+	if b.Kind == wire.KindPayloads {
+		q = l.topo.ProcOf(cluster.WorkerID(b.Dest))
 	}
-	p.EnqueueRuns(out)
+	raw := b.Append(nil)
+	f, n, err := wire.Decode(raw, 0)
+	switch {
+	case err != nil:
+	case n != len(raw) || n != b.FrameBytes():
+		err = fmt.Errorf("frame of %d bytes decoded as %d, sized %d", len(raw), n, b.FrameBytes())
+	case f.Source != uint32(l.self):
+		err = fmt.Errorf("frame from proc %d carries source %d", l.self, f.Source)
+	default:
+		err = l.peers[q].Receive(f)
+	}
+	if err != nil {
+		l.t.Errorf("loopback %v batch %d->%d: %v", b.Kind, l.self, q, err)
+	}
 }
 
 // TestPartitionedLoopback runs the histogram-shaped no-loss/no-dup workload
@@ -391,7 +382,7 @@ func TestPartitionedLoopback(t *testing.T) {
 			peers := make([]*Runtime, P)
 			quiet := make(chan struct{}, P)
 			for p := 0; p < P; p++ {
-				lb := &loopback{topo: topo, peers: peers}
+				lb := &loopback{t: t, topo: topo, peers: peers, self: cluster.ProcID(p)}
 				cfg := DefaultConfig(topo, s)
 				cfg.BufferItems = 32
 				cfg.FlushDeadline = 200 * time.Microsecond
@@ -413,7 +404,6 @@ func TestPartitionedLoopback(t *testing.T) {
 					}
 				})
 				rtm.SetQuietNotify(quiet)
-				lb.self = rtm
 				peers[p] = rtm
 			}
 
@@ -524,6 +514,70 @@ func TestPartitionedLoopback(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReceiveRejectsForeignDest pins the destination check on the receive
+// side of the process seam: a data frame addressing a worker this process
+// does not host — or no worker at all — is rejected with an error, admits
+// nothing, and hands its pooled storage back. Storage that leaked would cost
+// a fresh allocation of the whole batch on every rejected frame; recycled
+// storage costs at most what the race detector's randomly dropping pools
+// lose (a quarter of puts).
+func TestReceiveRejectsForeignDest(t *testing.T) {
+	topo := cluster.SMP(1, 2, 2) // proc 0 hosts workers 0-1, proc 1 hosts 2-3
+	const g = 1024
+	cfg := DefaultConfig(topo, core.WsP)
+	cfg.BufferItems = g
+	cfg.Part = &Partition{Proc: 0, Remote: &loopback{t: t, topo: topo}}
+	rtm := New(cfg, func(*Ctx, uint64) {}, func(cluster.WorkerID) (int, KernelFunc) { return 0, nil })
+
+	words := make([]uint64, g)
+	items := make([]Item, g)
+	for i := range items {
+		items[i] = Item{Dest: uint32(i % 2), Val: uint64(i)}
+	}
+	items[g-1].Dest = 2
+	cases := []struct {
+		name  string
+		b     wire.Batch
+		bytes int // pooled storage the frame decodes into
+	}{
+		{"payloads", wire.Batch{Kind: wire.KindPayloads, Dest: 2, Payloads: words}, 8 * g},
+		{"payloads-no-such-worker", wire.Batch{Kind: wire.KindPayloads, Dest: 99, Payloads: words}, 8 * g},
+		{"items", wire.Batch{Kind: wire.KindItems, Items: items}, 16 * g},
+		// Each run draws a whole buffer's worth (BufferItems = g) of storage.
+		{"runs", wire.Batch{Kind: wire.KindRuns, Runs: []Run{
+			{Dest: 1, Payloads: words[:g/2]}, {Dest: 3, Payloads: words[g/2:]},
+		}}, 2 * 8 * g},
+	}
+	for _, c := range cases {
+		f, _, err := wire.Decode(c.b.Append(nil), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := rtm.Receive(f); err == nil {
+			t.Fatalf("%s: frame for a foreign worker accepted", c.name)
+		}
+		if per := heapBytesPerRun(100, func() { _ = rtm.Receive(f) }); per > float64(c.bytes)/2 {
+			t.Errorf("%s: %.0f heap bytes per rejected frame of %d pooled bytes: storage not recycled", c.name, per, c.bytes)
+		}
+	}
+	if sent, recv := rtm.CrossCounts(); sent != 0 || recv != 0 || rtm.inflight.Load() != 0 {
+		t.Fatalf("rejected frames were admitted: sent %d recv %d inflight %d", sent, recv, rtm.inflight.Load())
+	}
+}
+
+// heapBytesPerRun returns the heap bytes fn allocates per call, averaged over
+// runs calls after one warm-up call that primes the pools.
+func heapBytesPerRun(runs int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestPostTasksRunToQuiescence checks the worker-local task queue: a chain of

@@ -82,7 +82,7 @@ func (rt *Runtime) wireServe(cfg Config) {
 				// before emitToProc, which consumes (and may recycle) the
 				// slice.
 				for _, it := range bt.Items {
-					rt.releaseIngress(it.Dest)
+					rt.releaseIngress(cluster.WorkerID(it.Dest))
 				}
 				rt.emitToProc(nil, dst, bt.Items, false, len(bt.Items) == cfg.BufferItems)
 			})
@@ -165,7 +165,7 @@ func (rt *Runtime) admit(dest cluster.WorkerID, value uint64) {
 		// ingressBufs is nil under the Direct scheme (nothing aggregates).
 		if !direct && rt.ingressBufs != nil {
 			if b := rt.ingressBufs[rt.topo.ProcOf(dest)]; b != nil {
-				b.Push(Item{Dest: dest, Val: value})
+				b.Push(Item{Dest: uint32(dest), Val: value})
 				return
 			}
 		}
@@ -175,8 +175,7 @@ func (rt *Runtime) admit(dest cluster.WorkerID, value uint64) {
 		if direct {
 			rt.M.DirectItems.Add(1)
 		}
-		rt.sentCross.Add(1)
-		rt.part.Remote.SendOne(dest, value)
+		rt.sendOne(dest, value)
 		rt.releaseIngress(dest)
 		rt.finish(1)
 		return

@@ -112,6 +112,7 @@ func (c *Client) readLoop() {
 			}
 			c.noteAck(doc.N, fr.Dest == OpDrained)
 			if fr.Dest == OpDrained {
+				c.closeWrite()
 				return
 			}
 		case OpFail:
@@ -125,6 +126,7 @@ func (c *Client) readLoop() {
 				Phase: doc.Phase,
 				Err:   fmt.Errorf("%w: %s", dist.ErrPeerDied, doc.Msg),
 			})
+			c.closeWrite()
 			return
 		}
 	}
@@ -151,14 +153,35 @@ func (c *Client) noteAck(n int64, final bool) {
 	c.cond.Broadcast()
 }
 
-// fail records the terminal error and wakes everything blocked on the client.
-func (c *Client) fail(err error) {
+// closeWrite half-closes the connection once the server's final frame
+// (OpDrained or OpFail) has arrived: the server, which reads on until the
+// client is done so that its close is clean, sees EOF at once instead of
+// waiting out its read deadline. A failed half-close is ignored: the server
+// then just falls back to that deadline.
+func (c *Client) closeWrite() {
+	if hc, ok := c.conn.(interface{ CloseWrite() error }); ok {
+		_ = hc.CloseWrite()
+	}
+}
+
+// fail records err as the terminal error unless the connection already
+// ended — failed, or drained, which is terminal and clean — wakes everything
+// blocked on the client, and returns the terminal outcome: the recorded
+// error, or ErrDrained. A write after the final frame's half-close fails,
+// but the final frame's outcome is what the caller must see; the failed
+// write carried only events the server never acked.
+func (c *Client) fail(err error) error {
 	c.mu.Lock()
-	if c.err == nil {
+	if c.err == nil && !c.drained {
 		c.err = err
+	}
+	err = c.err
+	if err == nil {
+		err = ErrDrained
 	}
 	c.mu.Unlock()
 	c.cond.Broadcast()
+	return err
 }
 
 // Send queues one event for the given global worker id, transmitting a frame
@@ -200,9 +223,7 @@ func (c *Client) Flush() error {
 		c.mu.Unlock()
 	}
 	if _, err := c.conn.Write(c.wbuf); err != nil {
-		err = fmt.Errorf("serve: send: %w", err)
-		c.fail(err)
-		return err
+		return c.fail(fmt.Errorf("serve: send: %w", err))
 	}
 	return nil
 }

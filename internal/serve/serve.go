@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,6 +276,7 @@ func (f *Frontend) handle(cs *connState) {
 				case <-time.After(2 * time.Second):
 				}
 				f.finalizeFail(cs)
+				discardInput(cs.conn)
 				return
 			}
 			cs.admitted++
@@ -330,15 +332,20 @@ func (f *Frontend) finalizeFail(cs *connState) {
 // final frame was sent, so the deferred Close sends a clean FIN: closing a
 // TCP socket with unread received data aborts the connection with an RST,
 // which can destroy the just-written OpDrained/OpFail before the client
-// reads it. Bounded: the client closes once it has the final frame (EOF
-// here), and the deadline cuts off a client that never does.
+// reads it. Bounded: the client half-closes once it has the final frame
+// (EOF here), and the deadline cuts off a client that never does. The
+// deadline is re-armed before every read because interruptReads (a Close
+// racing the final frame) may move it into the past.
 func discardInput(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(time.Second))
+	end := time.Now().Add(time.Second)
 	var buf [4096]byte
 	for {
-		if _, err := conn.Read(buf[:]); err != nil {
-			return
+		conn.SetReadDeadline(end)
+		_, err := conn.Read(buf[:])
+		if err == nil || os.IsTimeout(err) && time.Now().Before(end) {
+			continue
 		}
+		return
 	}
 }
 

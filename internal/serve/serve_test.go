@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"tramlib/internal/rt"
 	"tramlib/internal/serve"
 	"tramlib/internal/stats"
+	"tramlib/internal/wire"
 )
 
 // testServer bundles a serve-mode runtime and its frontend.
@@ -417,4 +419,50 @@ func TestAbortSurfacesTypedError(t *testing.T) {
 	s.rtm.Stop()
 	s.fe.Close()
 	<-s.resC
+}
+
+// TestClientHalfClosesAfterFinalFrame pins the client's side of a prompt
+// teardown: once it has read the server's final frame — OpDrained or OpFail
+// — it half-closes its write side, so the server's read after the final
+// frame sees EOF at once. Without it, a drain waits out the server's read
+// deadline for every client still connected.
+func TestClientHalfClosesAfterFinalFrame(t *testing.T) {
+	finals := map[string]struct {
+		op  uint32
+		doc string
+	}{
+		"drained": {serve.OpDrained, `{"n":0}`},
+		"fail":    {serve.OpFail, `{"msg":"boom","proc":1,"phase":"run"}`},
+	}
+	for name, final := range finals {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			c, err := serve.Dial(ln.Addr().String(), serve.ClientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(wire.AppendControl(nil, 0, final.op, []byte(final.doc))); err != nil {
+				t.Fatal(err)
+			}
+			// The deadline only turns a missing half-close into a failure
+			// instead of a hang; a passing run never comes near it.
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.Copy(io.Discard, conn); err != nil {
+				t.Fatalf("server read after the final frame: %v, want EOF", err)
+			}
+			if _, err := c.WaitDrained(); (err == nil) != (final.op == serve.OpDrained) {
+				t.Fatalf("client outcome after %s: %v", name, err)
+			}
+		})
+	}
 }

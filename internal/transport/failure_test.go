@@ -23,7 +23,7 @@ func TestSocketSendToDeadPeer(t *testing.T) {
 			for {
 				// The first writes may land in socket buffers; keep pushing until
 				// the kernel reports the peer gone.
-				err := tms[0].m.Peer(1).SendPayloads(10, make([]uint64, 1024), false)
+				err := tms[0].m.Peer(1).Send(payloads(10, make([]uint64, 1024)...))
 				if err != nil {
 					if !errors.Is(err, ErrPeerDead) {
 						t.Fatalf("send to dead peer: %v, want ErrPeerDead in the chain", err)
@@ -50,7 +50,7 @@ func TestSendAfterLocalCloseErrors(t *testing.T) {
 		tms[1].m.Close()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			err := p.SendPayloads(10, []uint64{1}, false)
+			err := p.Send(payloads(10, 1))
 			if err != nil {
 				break // errored, did not panic: the contract holds
 			}
@@ -69,10 +69,10 @@ func TestRecvFrameInjection(t *testing.T) {
 	for _, kind := range []Kind{Socket, Shm, TCP} {
 		faultinject.Set(faultinject.Spec{Point: faultinject.PointRecvFrame, Act: faultinject.Drop, Proc: -1, After: 1})
 		tms := buildMeshes(t, 2, func(self, peer int) Kind { return kind })
-		if err := tms[0].m.Peer(1).SendPayloads(10, []uint64{1}, false); err != nil {
+		if err := tms[0].m.Peer(1).Send(payloads(10, 1)); err != nil {
 			t.Fatalf("send: %v", err)
 		}
-		if err := tms[0].m.Peer(1).SendPayloads(10, []uint64{2}, false); err != nil {
+		if err := tms[0].m.Peer(1).Send(payloads(10, 2)); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 		// The first frame is dropped before dispatch; only the second lands.

@@ -124,8 +124,9 @@ type RouterConfig struct {
 }
 
 // Router is the per-process relay of two-level routing. Producers — the
-// runtime's remote seam at the origin, the bundle demux on receive loops —
-// enqueue complete encoded frames with Send and RelayRaw; one goroutine
+// runtime's remote seam at the origin (SendBatch, which encodes the batch
+// straight into the queue; Send for a frame already encoded), the bundle
+// demux on receive loops (RelayRaw) — enqueue complete frames; one goroutine
 // drains the queue, groups frames by next hop, and ships each group as a
 // KindBundle (or a lone frame verbatim). Enqueueing never blocks, so a
 // receive loop relaying a frame can never deadlock against a full link —
@@ -150,7 +151,7 @@ type Router struct {
 
 type relayItem struct {
 	hop int
-	buf []byte
+	buf *[]byte // pooled: the frame's encoding
 }
 
 // NewRouter starts the relay goroutine over an established mesh.
@@ -169,21 +170,28 @@ func NewRouter(cfg RouterConfig) *Router {
 // Send routes one complete encoded frame (length prefix included) from Self
 // toward its final destination process. raw stays owned by the caller.
 func (r *Router) Send(destProc int, raw []byte) {
-	r.enqueue(r.cfg.Topo.NextHop(r.cfg.Self, destProc), raw)
+	r.SendBatch(destProc, wire.Batch{Raw: raw})
+}
+
+// SendBatch routes one batch from Self toward its final destination
+// process, encoding it once, straight into the relay's pooled buffer. The
+// batch's storage is the caller's again when SendBatch returns.
+func (r *Router) SendBatch(destProc int, b wire.Batch) {
+	r.enqueue(r.cfg.Topo.NextHop(r.cfg.Self, destProc), b)
 }
 
 // RelayRaw forwards a frame (or pre-grouped raw bytes) toward hop verbatim
 // — the receive-loop path for frames unbundled at a relay. raw stays owned
 // by the caller (it aliases the link's receive buffer).
 func (r *Router) RelayRaw(hop int, raw []byte) {
-	r.enqueue(hop, raw)
+	r.enqueue(hop, wire.Batch{Raw: raw})
 }
 
-func (r *Router) enqueue(hop int, raw []byte) {
+func (r *Router) enqueue(hop int, b wire.Batch) {
 	bp := r.pool.Get().(*[]byte)
-	buf := append((*bp)[:0], raw...)
+	*bp = b.Append((*bp)[:0])
 	r.mu.Lock()
-	r.queue = append(r.queue, relayItem{hop: hop, buf: buf})
+	r.queue = append(r.queue, relayItem{hop: hop, buf: bp})
 	r.mu.Unlock()
 	select {
 	case r.wake <- struct{}{}:
@@ -220,9 +228,8 @@ func (r *Router) loop() {
 			}
 		}
 		r.flush(batch, failed)
-		for i := range batch {
-			buf := batch[i].buf
-			r.pool.Put(&buf)
+		for _, it := range batch {
+			r.pool.Put(it.buf)
 		}
 		select {
 		case <-r.done:
@@ -250,6 +257,7 @@ func (r *Router) flush(batch []relayItem, failed map[int]bool) {
 		if failed[it.hop] {
 			continue
 		}
+		raw := *it.buf
 		capBytes := r.capFor(it.hop)
 		capPayload := capBytes - wire.BundleFrameBytes(0)
 		b := open[it.hop]
@@ -258,21 +266,21 @@ func (r *Router) flush(batch []relayItem, failed map[int]bool) {
 			open[it.hop] = b
 			order = append(order, it.hop)
 		}
-		if b.count > 0 && len(b.inner)+len(it.buf) > capPayload {
+		if b.count > 0 && len(b.inner)+len(raw) > capPayload {
 			r.emit(it.hop, b, failed)
 		}
-		if len(it.buf) > capPayload {
+		if len(raw) > capPayload {
 			// Oversized for an envelope: flush what's open (order!) and
 			// ship it alone.
 			if b.count > 0 {
 				r.emit(it.hop, b, failed)
 			}
 			if !failed[it.hop] {
-				r.sendRaw(it.hop, it.buf, failed)
+				r.sendRaw(it.hop, raw, failed)
 			}
 			continue
 		}
-		b.inner = append(b.inner, it.buf...)
+		b.inner = append(b.inner, raw...)
 		b.count++
 	}
 	for _, hop := range order {
@@ -289,9 +297,9 @@ func (r *Router) emit(hop int, b *openBundle, failed map[int]bool) {
 		r.sendRaw(hop, b.inner, failed)
 	} else {
 		bp := r.pool.Get().(*[]byte)
-		buf := wire.AppendBundle((*bp)[:0], uint32(r.cfg.Self), uint32(hop), b.count, b.inner)
-		r.sendRaw(hop, buf, failed)
-		r.pool.Put(&buf)
+		*bp = wire.AppendBundle((*bp)[:0], uint32(r.cfg.Self), uint32(hop), b.count, b.inner)
+		r.sendRaw(hop, *bp, failed)
+		r.pool.Put(bp)
 	}
 	b.inner = b.inner[:0]
 	b.count = 0
@@ -303,7 +311,7 @@ func (r *Router) sendRaw(hop int, raw []byte, failed map[int]bool) {
 		r.fail(hop, ErrPeerDead, failed)
 		return
 	}
-	if err := p.SendRaw(raw); err != nil {
+	if err := p.Send(wire.Batch{Raw: raw}); err != nil {
 		r.fail(hop, err, failed)
 	}
 }

@@ -357,7 +357,7 @@ func TestHierRouterBundling(t *testing.T) {
 	var batch []relayItem
 	for i := range frames {
 		frames[i] = wire.AppendPayloads(nil, 0, 1, []uint64{uint64(i), uint64(i), uint64(i)}, false)
-		batch = append(batch, relayItem{hop: 1, buf: frames[i]})
+		batch = append(batch, relayItem{hop: 1, buf: &frames[i]})
 	}
 
 	// Uncapped: the whole batch travels as one bundle.

@@ -106,10 +106,10 @@ type Mesh struct {
 	// Connect: the peer set never changes after the establishment barrier,
 	// so every post-barrier Peer lookup — one per batch send — reads it
 	// lock-free instead of bouncing m.mu between worker goroutines.
-	routes atomic.Pointer[[]PeerTransport]
+	routes atomic.Pointer[[]*Link]
 
 	mu    sync.Mutex
-	peers []PeerTransport
+	peers []*Link
 	ln    net.Listener
 	tln   net.Listener
 	// recvRings[q] is the created (inbound) ring from shm peer q, mapped
@@ -132,7 +132,7 @@ func NewMesh(cfg MeshConfig, handle Handler, errc chan<- PeerExit) *Mesh {
 		cfg:        cfg,
 		handle:     handle,
 		errc:       errc,
-		peers:      make([]PeerTransport, cfg.Procs),
+		peers:      make([]*Link, cfg.Procs),
 		recvRings:  make([]*shmring.Ring, cfg.Procs),
 		acceptDone: make(chan error, 1),
 		tcpDone:    make(chan error, 1),
@@ -241,11 +241,11 @@ func (m *Mesh) acceptLoop() {
 			m.acceptDone <- fmt.Errorf("transport: peer hello from invalid proc %d", hello.Source)
 			return
 		}
-		p := newSocketPeer(uint32(m.cfg.Self), q, c, rd, m.cfg.WaitDeadline)
+		p := newSocketPeer(q, c, rd, m.cfg.WaitDeadline)
 		m.mu.Lock()
 		dup := m.peers[q] != nil
 		if !dup {
-			m.peers[q] = p
+			m.peers[q] = m.link(p)
 		}
 		m.mu.Unlock()
 		if dup {
@@ -311,7 +311,7 @@ func (m *Mesh) tcpHello(c net.Conn) {
 		c.Close()
 		return
 	}
-	m.peers[q] = p
+	m.peers[q] = m.link(p)
 	m.tcpSeen++
 	done := m.tcpSeen == m.tcpInbound
 	m.mu.Unlock()
@@ -341,14 +341,13 @@ func (m *Mesh) Connect(peerAddrs []string) error {
 			}
 			send.SetDeadline(m.cfg.WaitDeadline)
 			p := &shmPeer{
-				self:     uint32(m.cfg.Self),
 				peer:     q,
 				maxFrame: m.cfg.MaxFrameBytes,
 				send:     send,
 				recv:     m.recvRings[q],
 			}
 			m.mu.Lock()
-			m.peers[q] = p
+			m.peers[q] = m.link(p)
 			m.mu.Unlock()
 			m.startRecv(q, p)
 		case Socket:
@@ -364,9 +363,9 @@ func (m *Mesh) Connect(peerAddrs []string) error {
 				c.Close()
 				return fmt.Errorf("transport: peer hello %d: %w", q, err)
 			}
-			p := newSocketPeer(uint32(m.cfg.Self), q, c, wire.NewReader(c, m.cfg.MaxFrameBytes), m.cfg.WaitDeadline)
+			p := newSocketPeer(q, c, wire.NewReader(c, m.cfg.MaxFrameBytes), m.cfg.WaitDeadline)
 			m.mu.Lock()
-			m.peers[q] = p
+			m.peers[q] = m.link(p)
 			m.mu.Unlock()
 			m.startRecv(q, p)
 		case TCP:
@@ -387,7 +386,7 @@ func (m *Mesh) Connect(peerAddrs []string) error {
 				return fmt.Errorf("transport: peer hello %d: %w", q, err)
 			}
 			m.mu.Lock()
-			m.peers[q] = p
+			m.peers[q] = m.link(p)
 			m.mu.Unlock()
 			m.startRecv(q, p)
 		}
@@ -404,11 +403,16 @@ func (m *Mesh) Connect(peerAddrs []string) error {
 	// The peer table is complete and immutable from here on; publish the
 	// lock-free snapshot every post-barrier Peer lookup reads.
 	m.mu.Lock()
-	snap := make([]PeerTransport, len(m.peers))
+	snap := make([]*Link, len(m.peers))
 	copy(snap, m.peers)
 	m.mu.Unlock()
 	m.routes.Store(&snap)
 	return nil
+}
+
+// link wraps a newly established peer transport in the handle Peer returns.
+func (m *Mesh) link(p PeerTransport) *Link {
+	return &Link{PeerTransport: p, self: uint32(m.cfg.Self)}
 }
 
 // startRecv runs one link's receive loop on its own goroutine, reporting
@@ -422,41 +426,13 @@ func (m *Mesh) startRecv(q int, p PeerTransport) {
 // pairs, or before the link exists). After Connect it reads the immutable
 // snapshot — no lock on the per-batch send path; during establishment it
 // falls back to the mutex.
-func (m *Mesh) Peer(q int) PeerTransport {
+func (m *Mesh) Peer(q int) *Link {
 	if rs := m.routes.Load(); rs != nil {
 		return (*rs)[q]
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.peers[q]
-}
-
-// peerTable returns the current link set: the post-Connect snapshot when
-// published, a locked copy before that.
-func (m *Mesh) peerTable() []PeerTransport {
-	if rs := m.routes.Load(); rs != nil {
-		return *rs
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap := make([]PeerTransport, len(m.peers))
-	copy(snap, m.peers)
-	return snap
-}
-
-// OldestNanos returns the oldest pending-batch stamp across every link, or
-// 0 if nothing is pending (see PeerTransport.OldestNanos).
-func (m *Mesh) OldestNanos() int64 {
-	var oldest int64
-	for _, p := range m.peerTable() {
-		if p == nil {
-			continue
-		}
-		if o := p.OldestNanos(); o != 0 && (oldest == 0 || o < oldest) {
-			oldest = o
-		}
-	}
-	return oldest
 }
 
 // Close tears the mesh down: every link is closed (peers' receive loops see

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,9 +17,23 @@ type testMesh struct {
 
 	mu     sync.Mutex
 	frames []wire.Frame
+
+	// discard, once set, makes handle only count frames (in counted): a
+	// receiver that allocates nothing. A non-nil hold then also parks the
+	// receive loop in handle until hold is closed.
+	discard atomic.Bool
+	counted atomic.Int64
+	hold    chan struct{}
 }
 
 func (tm *testMesh) handle(f wire.Frame) error {
+	if tm.discard.Load() {
+		tm.counted.Add(1)
+		if tm.hold != nil {
+			<-tm.hold
+		}
+		return nil
+	}
 	// Frames alias transport memory: deep-copy before recording.
 	p := append([]byte(nil), f.Payload...)
 	f.Payload = p
@@ -117,17 +132,18 @@ func exerciseMesh(t *testing.T, procs int, kindOf func(self, peer int) Kind) {
 			if p == nil {
 				t.Fatalf("mesh %d has no link to %d", src, dst)
 			}
-			if err := p.SendPayloads(uint32(dst*10), []uint64{uint64(src), uint64(dst), 7}, true); err != nil {
-				t.Fatalf("mesh %d SendPayloads to %d: %v", src, dst, err)
+			if err := p.Send(wire.Batch{Kind: wire.KindPayloads, Full: true, Source: uint32(src), Dest: uint32(dst * 10),
+				Payloads: []uint64{uint64(src), uint64(dst), 7}}); err != nil {
+				t.Fatalf("mesh %d payloads send to %d: %v", src, dst, err)
 			}
 			if err := p.SendItems(uint32(dst), []wire.Item{{Dest: uint32(dst*10 + 1), Val: uint64(100*src + dst)}}, false); err != nil {
 				t.Fatalf("mesh %d SendItems to %d: %v", src, dst, err)
 			}
-			if err := p.SendRuns(uint32(dst), []wire.Run{
+			if err := p.Send(wire.Batch{Kind: wire.KindRuns, Source: uint32(src), Dest: uint32(dst), Runs: []wire.Run{
 				{Dest: uint32(dst * 10), Payloads: []uint64{1, 2}},
 				{Dest: uint32(dst*10 + 1), Payloads: []uint64{3}},
-			}, false); err != nil {
-				t.Fatalf("mesh %d SendRuns to %d: %v", src, dst, err)
+			}}); err != nil {
+				t.Fatalf("mesh %d runs send to %d: %v", src, dst, err)
 			}
 		}
 	}
@@ -249,8 +265,8 @@ func TestMeshTCPInjectedLatency(t *testing.T) {
 		c.LinkJitter = 5 * time.Millisecond
 	})
 	sent := time.Now()
-	if err := tms[0].m.Peer(1).SendPayloads(10, []uint64{1, 2, 3}, false); err != nil {
-		t.Fatalf("SendPayloads: %v", err)
+	if err := tms[0].m.Peer(1).Send(payloads(10, 1, 2, 3)); err != nil {
+		t.Fatalf("payloads send: %v", err)
 	}
 	tms[1].waitFrames(t, 1)
 	if d := time.Since(sent); d < 20*time.Millisecond {
@@ -261,21 +277,57 @@ func TestMeshTCPInjectedLatency(t *testing.T) {
 	}
 }
 
-func TestMeshOldestNanos(t *testing.T) {
-	tms := buildMeshes(t, 2, func(self, peer int) Kind { return Shm })
-	// A drained mesh reports no pending batch age.
-	tms[0].m.Peer(1).SendPayloads(10, []uint64{1}, false)
-	tms[1].waitFrames(t, 1)
-	deadline := time.Now().Add(5 * time.Second)
-	for tms[0].m.OldestNanos() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("OldestNanos stuck nonzero after the peer drained")
-		}
-		time.Sleep(time.Millisecond)
+// TestSendAllocFree pins the send path's allocation budget: one sealed
+// 1024-item batch sent over an established link — encoded into the socket
+// link's reused scratch buffer, or in place into the shm ring — allocates
+// nothing. The count is process-wide, so the receiver must not allocate
+// either: a socket receiver reuses its read buffer, and the shm receiver is
+// held inside its handler (the ring is sized to take every frame) so that it
+// never enters a fresh parked wait, which allocates a timer.
+func TestSendAllocFree(t *testing.T) {
+	items := make([]wire.Item, 1024)
+	for i := range items {
+		items[i] = wire.Item{Dest: uint32(i % 4), Val: uint64(i)}
 	}
-	for _, tm := range tms {
-		tm.m.Close()
+	const runs = 100
+	for _, kind := range []Kind{Socket, Shm} {
+		t.Run(kind.String(), func(t *testing.T) {
+			tms := buildMeshesCfg(t, 2, func(self, peer int) Kind { return kind }, func(c *MeshConfig) {
+				c.RingBytes = 2 * (runs + 1) * wire.ItemsFrameBytes(len(items))
+			})
+			if kind == Shm {
+				tms[1].hold = make(chan struct{})
+			}
+			tms[1].discard.Store(true)
+			link := tms[0].m.Peer(1)
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := link.SendItems(1, items, true); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if tms[1].hold != nil {
+				close(tms[1].hold)
+			}
+			if allocs != 0 {
+				t.Errorf("%v: %.2f allocations per 1024-item batch send, want 0", kind, allocs)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for tms[1].counted.Load() < runs+1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := tms[1].counted.Load(); n != runs+1 {
+				t.Errorf("%v: peer received %d frames, want %d", kind, n, runs+1)
+			}
+			for _, tm := range tms {
+				tm.m.Close()
+			}
+		})
 	}
+}
+
+// payloads builds a worker-addressed batch for dest.
+func payloads(dest uint32, words ...uint64) wire.Batch {
+	return wire.Batch{Kind: wire.KindPayloads, Dest: dest, Payloads: words}
 }
 
 func TestKindString(t *testing.T) {

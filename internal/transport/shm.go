@@ -21,7 +21,6 @@ import (
 // which is what makes the process a single producer for the SPSC ring —
 // the same role the write lock plays for the socket link.
 type shmPeer struct {
-	self     uint32
 	peer     int
 	maxFrame int
 	mu       sync.Mutex // serializes producers on the send ring
@@ -29,41 +28,17 @@ type shmPeer struct {
 	recv     *shmring.Ring
 }
 
-func (p *shmPeer) SendPayloads(destWorker uint32, payloads []uint64, full bool) error {
-	return p.writeFrame(wire.PayloadsFrameBytes(len(payloads)), func(dst []byte) []byte {
-		return wire.AppendPayloads(dst, p.self, destWorker, payloads, full)
-	})
-}
-
-func (p *shmPeer) SendItems(destProc uint32, items []wire.Item, full bool) error {
-	return p.writeFrame(wire.ItemsFrameBytes(len(items)), func(dst []byte) []byte {
-		return wire.AppendItems(dst, p.self, destProc, items, full)
-	})
-}
-
-func (p *shmPeer) SendRuns(destProc uint32, runs []wire.Run, full bool) error {
-	return p.writeFrame(wire.RunsFrameBytes(runs), func(dst []byte) []byte {
-		return wire.AppendRuns(dst, p.self, destProc, runs, full)
-	})
-}
-
-func (p *shmPeer) SendRaw(raw []byte) error {
-	return p.writeFrame(len(raw), func(dst []byte) []byte {
-		return append(dst, raw...)
-	})
-}
-
-// writeFrame publishes one frame of exactly total bytes into the send ring,
-// mapping the ring's failure modes onto the transport-level sentinels (a
-// dead consumer process, a stalled parked wait).
-func (p *shmPeer) writeFrame(total int, fill func(dst []byte) []byte) error {
+// Send publishes one frame into the send ring, encoded in place, mapping
+// the ring's failure modes onto the transport-level sentinels (a dead
+// consumer process, a stalled parked wait).
+func (p *shmPeer) Send(b wire.Batch) error {
 	if faultinject.Fire(faultinject.PointRingWrite) == faultinject.Error {
 		// Tear the ring down under the writer, as a racing teardown (or a
 		// corrupted segment unmapped by the kernel) would.
 		p.send.Interrupt()
 	}
 	p.mu.Lock()
-	err := p.send.Write(total, fill)
+	err := p.send.Write(b.FrameBytes(), b.Append)
 	p.mu.Unlock()
 	switch {
 	case err == nil:
@@ -109,15 +84,6 @@ func (p *shmPeer) RecvLoop(handle Handler) error {
 		return fmt.Errorf("transport: peer %d ring read: %w (%v)", p.peer, ErrPeerDead, err)
 	}
 	return err
-}
-
-// OldestNanos reports the send ring's oldest unconsumed publish stamp —
-// unlike a socket, the ring's cursors make transport-level batch age
-// observable to the sender.
-func (p *shmPeer) OldestNanos() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.send.OldestNanos()
 }
 
 func (p *shmPeer) Close() error {

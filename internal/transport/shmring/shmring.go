@@ -178,17 +178,6 @@ type Ring struct {
 	// deadline, when positive, bounds each blocking Write/Recv wait
 	// (SetDeadline); parked waits that exceed it return ErrStalled.
 	deadline time.Duration
-
-	// Producer-side bookkeeping for OldestNanos: enqueue stamps of records
-	// the consumer has not retired yet. Local memory — stamps never cross
-	// the process boundary (clocks of the two processes need not relate).
-	pend []pendStamp
-}
-
-// pendStamp records when the record ending at cursor `end` was published.
-type pendStamp struct {
-	end   uint64
-	nanos int64
 }
 
 // role is a Ring's side of the directed pair (which liveness stamp is ours).
@@ -342,9 +331,6 @@ func (r *Ring) peerAlive() bool {
 	return pidAlive(int(pid))
 }
 
-// Capacity returns the data-area size in bytes.
-func (r *Ring) Capacity() int { return int(r.cap) }
-
 // MaxRecordBytes returns the largest record (prefix included) Write
 // accepts: half the data area, the bound that keeps a wrapping record's
 // pad-plus-record cost below what the consumer can ever free.
@@ -431,7 +417,6 @@ func (r *Ring) Write(total int, fill func(dst []byte) []byte) error {
 		// Wrapped: account the skipped remainder at the end of the area.
 		newHead += r.cap - head%r.cap
 	}
-	r.stamp(newHead)
 	r.head().Store(newHead)
 	return nil
 }
@@ -518,37 +503,6 @@ func (r *Ring) reserve(head, need uint64) (uint64, error) {
 			return 0, err
 		}
 	}
-}
-
-// stamp records the publish time of the record ending at cursor end, first
-// dropping entries the consumer has already retired.
-func (r *Ring) stamp(end uint64) {
-	tail := r.tail().Load()
-	keep := r.pend[:0]
-	for _, p := range r.pend {
-		if p.end > tail {
-			keep = append(keep, p)
-		}
-	}
-	r.pend = append(keep, pendStamp{end: end, nanos: time.Now().UnixNano()})
-}
-
-// OldestNanos returns the publish stamp (UnixNano) of the oldest record the
-// consumer has not yet retired, or 0 if none — the transport-level
-// counterpart of shmem's oldest-arrival stamp, read by the sender side to
-// observe latency accumulating in the ring (a socket's kernel buffer hides
-// the equivalent). Producer side only.
-func (r *Ring) OldestNanos() int64 {
-	if r.closed.Load() {
-		return 0
-	}
-	tail := r.tail().Load()
-	for _, p := range r.pend {
-		if p.end > tail {
-			return p.nanos
-		}
-	}
-	return 0
 }
 
 // --- consumer side ---

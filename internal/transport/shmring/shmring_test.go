@@ -156,28 +156,6 @@ func TestInterruptUnblocksRecv(t *testing.T) {
 	}
 }
 
-func TestOldestNanos(t *testing.T) {
-	prod, cons := pair(t, 256)
-	if o := prod.OldestNanos(); o != 0 {
-		t.Fatalf("empty ring OldestNanos = %d, want 0", o)
-	}
-	before := time.Now().UnixNano()
-	writeRec(t, prod, record(24, 1))
-	writeRec(t, prod, record(24, 2))
-	o := prod.OldestNanos()
-	if o < before || o > time.Now().UnixNano() {
-		t.Fatalf("OldestNanos %d outside publish window", o)
-	}
-	if _, err := cons.Drain(0, func([]byte) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// Stamps are pruned lazily on the next write; the pending set must now
-	// resolve to empty against the advanced tail.
-	if o := prod.OldestNanos(); o != 0 {
-		t.Fatalf("drained ring OldestNanos = %d, want 0", o)
-	}
-}
-
 func TestTinyMaxRecordStillRejects(t *testing.T) {
 	// A cap below the prefix size must not underflow the length check and
 	// wave every record through: the published 24-byte record is over any

@@ -21,7 +21,6 @@ import (
 // Encodes under a write lock into a reused scratch buffer, then writes the
 // frame in one syscall.
 type socketPeer struct {
-	self      uint32
 	peer      int
 	conn      net.Conn
 	rd        *wire.Reader
@@ -40,35 +39,14 @@ type socketPeer struct {
 	closed atomic.Bool
 }
 
-func newSocketPeer(self uint32, peer int, conn net.Conn, rd *wire.Reader, writeWait time.Duration) *socketPeer {
-	return &socketPeer{self: self, peer: peer, conn: conn, rd: rd, writeWait: writeWait}
+func newSocketPeer(peer int, conn net.Conn, rd *wire.Reader, writeWait time.Duration) *socketPeer {
+	return &socketPeer{peer: peer, conn: conn, rd: rd, writeWait: writeWait}
 }
 
-func (p *socketPeer) SendPayloads(destWorker uint32, payloads []uint64, full bool) error {
+func (p *socketPeer) Send(b wire.Batch) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.buf = wire.AppendPayloads(p.buf[:0], p.self, destWorker, payloads, full)
-	return p.write()
-}
-
-func (p *socketPeer) SendItems(destProc uint32, items []wire.Item, full bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.buf = wire.AppendItems(p.buf[:0], p.self, destProc, items, full)
-	return p.write()
-}
-
-func (p *socketPeer) SendRuns(destProc uint32, runs []wire.Run, full bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.buf = wire.AppendRuns(p.buf[:0], p.self, destProc, runs, full)
-	return p.write()
-}
-
-func (p *socketPeer) SendRaw(raw []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.buf = append(p.buf[:0], raw...)
+	p.buf = b.Append(p.buf[:0])
 	return p.write()
 }
 
@@ -130,10 +108,6 @@ func (p *socketPeer) RecvLoop(handle Handler) error {
 		}
 	}
 }
-
-// OldestNanos is always 0 for sockets: once written, a batch's age inside
-// the kernel socket buffer is not observable from user space.
-func (p *socketPeer) OldestNanos() int64 { return 0 }
 
 func (p *socketPeer) Close() error {
 	p.closed.Store(true)

@@ -16,7 +16,7 @@ import (
 // fault point, and the injected-latency hook on the receive path.
 func newTCPPeer(cfg MeshConfig, peer int, c net.Conn, rd *wire.Reader) *socketPeer {
 	tuneTCP(c, cfg.KeepAlive)
-	p := newSocketPeer(uint32(cfg.Self), peer, c, rd, cfg.WaitDeadline)
+	p := newSocketPeer(peer, c, rd, cfg.WaitDeadline)
 	p.writePoint = faultinject.PointTCPWrite
 	p.recvDelay = linkDelay(cfg.LinkDelay, cfg.LinkJitter, cfg.Self, peer)
 	return p

@@ -1,10 +1,13 @@
 // Package transport is the pluggable peer data plane of the multi-process
 // (Dist) backend: it owns how one worker process's aggregated batches reach
-// another worker process on the same machine, behind one PeerTransport
-// interface the runtime glue (internal/dist) routes through. internal/dist
-// keeps the control plane (coordinator handshake, quiescence probes,
-// reports); everything peer-data — dialing, accepting, batch encode/send,
-// the per-peer receive loop, teardown — lives here.
+// another worker process, behind one PeerTransport interface the runtime
+// glue (internal/dist) routes through. A link moves frames and nothing
+// else: it sends one wire.Batch at a time — the runtime's sealed batch, or
+// a relay's pre-encoded frame — and hands decoded inbound frames to a
+// Handler. internal/dist keeps the control plane (coordinator handshake,
+// quiescence probes, reports); everything peer-data — dialing, accepting,
+// frame encode/send, the per-peer receive loop, the node-leader relay,
+// teardown — lives here.
 //
 // Three implementations exist, selected per peer pair by the mesh's node
 // grouping:
@@ -128,42 +131,39 @@ const PeerHello uint32 = 0x70656572 // "peer"
 type Handler func(f wire.Frame) error
 
 // PeerTransport is one established data link between the local worker
-// process and one peer process. Send methods encode and ship a sealed batch
-// synchronously — the caller's storage is dead when they return — and may
-// block on backpressure (a full socket buffer, a full ring). They are safe
-// for concurrent use. A send failure returns an error (never a panic): the
-// caller owns failing the run cleanly, and errors.Is(err, ErrPeerDead)
-// distinguishes "the peer process is gone" from local teardown and protocol
-// faults so the runtime layer above can attribute the failure.
+// process and one peer process. It moves frames and nothing else: what a
+// frame carries and where it terminates is decided above it.
 type PeerTransport interface {
-	// SendPayloads ships a worker-addressed batch (frame Dest = destWorker):
-	// WW wiring, forwarded runs, Direct items.
-	SendPayloads(destWorker uint32, payloads []uint64, full bool) error
-	// SendItems ships an ungrouped process-addressed batch (WPs, PP).
-	SendItems(destProc uint32, items []wire.Item, full bool) error
-	// SendRuns ships a source-grouped process-addressed batch (WsP).
-	SendRuns(destProc uint32, runs []wire.Run, full bool) error
-	// SendRaw ships a pre-encoded complete frame (length prefix included)
-	// verbatim. It is the relay path of two-level routing: a leader forwards
-	// frames and bundles it already holds in encoded form without paying a
-	// re-encode. The caller keeps ownership of raw; it is dead on return.
-	SendRaw(raw []byte) error
+	// Send encodes one frame — a sealed batch, or a relay's pre-encoded
+	// frame (Batch.Raw) — onto the link synchronously: the batch's storage
+	// is the caller's again when Send returns. It may block on backpressure
+	// (a full socket buffer, a full ring) and is safe for concurrent use. A
+	// failure returns an error (never a panic): the caller owns failing the
+	// run cleanly, and errors.Is(err, ErrPeerDead) distinguishes "the peer
+	// process is gone" from local teardown and protocol faults so the
+	// runtime layer above can attribute the failure.
+	Send(b wire.Batch) error
 	// RecvLoop decodes inbound frames into handle until the peer closes the
 	// link (returns nil), the link fails, or handle errors. One call per
 	// link, on a dedicated goroutine (Mesh.Connect starts it).
 	RecvLoop(handle Handler) error
-	// OldestNanos returns the local arrival stamp (UnixNano) of the oldest
-	// batch accepted by a Send method but not yet consumed by the peer, or 0
-	// if none is pending or the link cannot observe it (a socket's kernel
-	// buffer is opaque; a ring's cursors are not). It is the transport-level
-	// analogue of shmem's oldest-arrival stamp — a diagnostic surface (the
-	// mesh tests assert the drained/pending transitions) and the hook a
-	// transport-level deadline enforcer would poll; the runtime's progress
-	// loop currently watches only the application buffers above the seam.
-	OldestNanos() int64
 	// Close tears the link down; the peer's RecvLoop observes a clean end
 	// where the implementation can signal one.
 	Close() error
+}
+
+// Link is an established peer link as Mesh.Peer hands it out: the link
+// kind's PeerTransport, stamped with the local process as the source of
+// the batches its shorthand sends build.
+type Link struct {
+	PeerTransport
+	self uint32
+}
+
+// SendItems ships an items batch (process-addressed (dest worker, value)
+// pairs) from the local process — shorthand for Send.
+func (l *Link) SendItems(destProc uint32, items []wire.Item, full bool) error {
+	return l.Send(wire.Batch{Kind: wire.KindItems, Full: full, Source: l.self, Dest: destProc, Items: items})
 }
 
 // sockPath returns process p's data-socket path inside the run directory.

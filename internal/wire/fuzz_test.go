@@ -41,12 +41,7 @@ func FuzzDecode(f *testing.F) {
 		case KindItems:
 			out = AppendItems(nil, fr.Source, fr.Dest, fr.Items(make([]Item, fr.Count)), fr.Full())
 		case KindRuns:
-			var runs []Run
-			fr.EachRun(func(dest uint32, n int, decode func([]uint64)) {
-				p := make([]uint64, n)
-				decode(p)
-				runs = append(runs, Run{Dest: dest, Payloads: p})
-			})
+			runs := fr.Runs(nil, func(n int) []uint64 { return make([]uint64, n) })
 			out = AppendRuns(nil, fr.Source, fr.Dest, runs, fr.Full())
 		case KindControl:
 			out = AppendControl(nil, fr.Source, fr.Dest, fr.Payload)
@@ -218,20 +213,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil || frn.Kind != KindRuns || int(frn.Count) != len(runs) {
 			t.Fatalf("runs frame: %+v err=%v", frn.Header, err)
 		}
-		ri := 0
-		frn.EachRun(func(d uint32, n int, decode func([]uint64)) {
-			if d != runs[ri].Dest || n != len(runs[ri].Payloads) {
-				t.Fatalf("run %d: (%d,%d) != (%d,%d)", ri, d, n, runs[ri].Dest, len(runs[ri].Payloads))
+		for ri, r := range frn.Runs(nil, func(n int) []uint64 { return make([]uint64, n) }) {
+			if r.Dest != runs[ri].Dest || len(r.Payloads) != len(runs[ri].Payloads) {
+				t.Fatalf("run %d: (%d,%d) != (%d,%d)", ri, r.Dest, len(r.Payloads), runs[ri].Dest, len(runs[ri].Payloads))
 			}
-			p := make([]uint64, n)
-			decode(p)
-			for j := range p {
-				if p[j] != runs[ri].Payloads[j] {
-					t.Fatalf("run %d payload %d: %d != %d", ri, j, p[j], runs[ri].Payloads[j])
+			for j, v := range r.Payloads {
+				if v != runs[ri].Payloads[j] {
+					t.Fatalf("run %d payload %d: %d != %d", ri, j, v, runs[ri].Payloads[j])
 				}
 			}
-			ri++
-		})
+		}
 
 		fc, err := r.Next()
 		if err != nil || fc.Kind != KindControl || !bytes.Equal(fc.Payload, raw) {

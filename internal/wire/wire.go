@@ -118,7 +118,7 @@ func (k Kind) String() string {
 }
 
 // Item is one process-addressed item: a packed payload word bound for a
-// destination worker (internal/rt ships the identical pair in memory).
+// destination worker (internal/rt's in-memory Item is this type).
 type Item struct {
 	Dest uint32
 	Val  uint64
@@ -179,10 +179,6 @@ func RunsFrameBytes(runs []Run) int {
 	return n
 }
 
-// ControlFrameBytes returns the encoded size of a KindControl frame with a
-// docBytes-byte payload.
-func ControlFrameBytes(docBytes int) int { return prefixBytes + HeaderBytes + docBytes }
-
 // BundleFrameBytes returns the encoded size of a KindBundle frame whose
 // payload carries innerBytes bytes of concatenated complete frames.
 func BundleFrameBytes(innerBytes int) int { return prefixBytes + HeaderBytes + innerBytes }
@@ -234,6 +230,61 @@ func AppendRuns(buf []byte, source, destProc uint32, runs []Run, full bool) []by
 		}
 	}
 	return buf
+}
+
+// Batch is one data frame held in memory, ready to encode: a sealed batch
+// in one of the three data shapes (Kind selects which slice carries it), or
+// — when Raw is set — a complete frame already encoded, which encodes
+// verbatim. It is the unit every sender hands down to the link that writes
+// it: the runtime seals one, a peer link or relay encodes it, and because it
+// knows its exact encoded size a ring can reserve space and encode it in
+// place. Passed by value, it never allocates; the slices stay owned by the
+// caller.
+type Batch struct {
+	Kind Kind
+	Full bool
+	// Source is the sending process; Dest the destination worker
+	// (KindPayloads) or process (KindItems, KindRuns).
+	Source, Dest uint32
+	Payloads     []uint64
+	Items        []Item
+	Runs         []Run
+	// Raw, when non-nil, is a complete encoded frame (length prefix
+	// included); the other fields are ignored.
+	Raw []byte
+}
+
+// FrameBytes returns the batch's exact encoded size, length prefix
+// included.
+func (b *Batch) FrameBytes() int {
+	if b.Raw != nil {
+		return len(b.Raw)
+	}
+	switch b.Kind {
+	case KindPayloads:
+		return PayloadsFrameBytes(len(b.Payloads))
+	case KindItems:
+		return ItemsFrameBytes(len(b.Items))
+	case KindRuns:
+		return RunsFrameBytes(b.Runs)
+	}
+	panic(fmt.Sprintf("wire: %v is not a batch kind", b.Kind))
+}
+
+// Append appends the batch's frame to buf and returns the extended buffer.
+func (b *Batch) Append(buf []byte) []byte {
+	if b.Raw != nil {
+		return append(buf, b.Raw...)
+	}
+	switch b.Kind {
+	case KindPayloads:
+		return AppendPayloads(buf, b.Source, b.Dest, b.Payloads, b.Full)
+	case KindItems:
+		return AppendItems(buf, b.Source, b.Dest, b.Items, b.Full)
+	case KindRuns:
+		return AppendRuns(buf, b.Source, b.Dest, b.Runs, b.Full)
+	}
+	panic(fmt.Sprintf("wire: %v is not a batch kind", b.Kind))
 }
 
 // AppendControl appends a KindControl frame; dest carries the control opcode
@@ -434,25 +485,25 @@ func (f Frame) EachItem(fn func(dest uint32, val uint64)) {
 	}
 }
 
-// EachRun iterates a KindRuns frame, calling fn with each run's destination
-// worker and a payload-decoding closure: fn calls decode with storage of
-// length n to fill it. The frame was validated at Decode time, so the walk
+// Runs decodes a KindRuns frame, appending its runs to dst and returning
+// the extended slice. alloc supplies each run's payload storage, of length
+// n (the caller's pool). The frame was validated at Decode time, so the walk
 // cannot run off the payload.
-func (f Frame) EachRun(fn func(dest uint32, n int, decode func(dst []uint64))) {
+func (f Frame) Runs(dst []Run, alloc func(n int) []uint64) []Run {
 	p := f.Payload
 	off := 0
 	for i := uint32(0); i < f.Count; i++ {
 		dest := binary.LittleEndian.Uint32(p[off:])
 		n := int(binary.LittleEndian.Uint32(p[off+4:]))
 		off += runHeaderBytes
-		base := off
-		fn(dest, n, func(dst []uint64) {
-			for j := range dst {
-				dst[j] = binary.LittleEndian.Uint64(p[base+8*j:])
-			}
-		})
+		words := alloc(n)[:n]
+		for j := range words {
+			words[j] = binary.LittleEndian.Uint64(p[off+8*j:])
+		}
 		off += 8 * n
+		dst = append(dst, Run{Dest: dest, Payloads: words})
 	}
+	return dst
 }
 
 // EachFrame iterates a KindBundle frame, calling fn with each inner frame in

@@ -64,22 +64,19 @@ func TestRunsRoundTrip(t *testing.T) {
 	if f.Kind != KindRuns || int(f.Count) != len(want) {
 		t.Fatalf("header mismatch: %+v", f.Header)
 	}
-	i := 0
-	f.EachRun(func(dest uint32, n int, decode func([]uint64)) {
-		if dest != want[i].Dest || n != len(want[i].Payloads) {
-			t.Fatalf("run %d = (%d,%d), want (%d,%d)", i, dest, n, want[i].Dest, len(want[i].Payloads))
+	got := f.Runs(nil, func(n int) []uint64 { return make([]uint64, n) })
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d runs, want %d", len(got), len(want))
+	}
+	for i, r := range got {
+		if r.Dest != want[i].Dest || len(r.Payloads) != len(want[i].Payloads) {
+			t.Fatalf("run %d = (%d,%d), want (%d,%d)", i, r.Dest, len(r.Payloads), want[i].Dest, len(want[i].Payloads))
 		}
-		got := make([]uint64, n)
-		decode(got)
-		for j := range got {
-			if got[j] != want[i].Payloads[j] {
-				t.Fatalf("run %d payload %d = %d, want %d", i, j, got[j], want[i].Payloads[j])
+		for j, v := range r.Payloads {
+			if v != want[i].Payloads[j] {
+				t.Fatalf("run %d payload %d = %d, want %d", i, j, v, want[i].Payloads[j])
 			}
 		}
-		i++
-	})
-	if i != len(want) {
-		t.Fatalf("iterated %d runs, want %d", i, len(want))
 	}
 }
 
@@ -277,5 +274,34 @@ func TestAppendReusesBuffer(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("AppendPayloads into a sized buffer allocated %.1f times/op", n)
+	}
+}
+
+// TestBatchEncoding pins the Batch contract the links rely on: Append
+// produces exactly the shape's Append* encoding (or Raw verbatim), and
+// FrameBytes predicts its length exactly, so a ring can reserve the frame
+// before encoding it in place.
+func TestBatchEncoding(t *testing.T) {
+	runs := []Run{{Dest: 4, Payloads: []uint64{1, 2}}, {Dest: 5, Payloads: []uint64{3}}}
+	items := []Item{{Dest: 1, Val: 10}, {Dest: 2, Val: 20}}
+	raw := AppendItems(nil, 7, 8, items, false)
+	cases := []struct {
+		b    Batch
+		want []byte
+	}{
+		{Batch{Kind: KindPayloads, Full: true, Source: 3, Dest: 9, Payloads: []uint64{5, 6, 7}},
+			AppendPayloads(nil, 3, 9, []uint64{5, 6, 7}, true)},
+		{Batch{Kind: KindItems, Source: 3, Dest: 1, Items: items}, AppendItems(nil, 3, 1, items, false)},
+		{Batch{Kind: KindRuns, Full: true, Source: 3, Dest: 1, Runs: runs}, AppendRuns(nil, 3, 1, runs, true)},
+		{Batch{Kind: KindPayloads, Dest: 99, Raw: raw}, raw},
+	}
+	for _, c := range cases {
+		got := c.b.Append([]byte{0xff})[1:]
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("%v batch encoded %x, want %x", c.b.Kind, got, c.want)
+		}
+		if n := c.b.FrameBytes(); n != len(c.want) {
+			t.Errorf("%v batch FrameBytes %d, encoding is %d bytes", c.b.Kind, n, len(c.want))
+		}
 	}
 }
