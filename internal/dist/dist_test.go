@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -483,3 +484,72 @@ func TestValidateRejectsPartitionedConfig(t *testing.T) {
 type nopRemote struct{}
 
 func (nopRemote) Send(wire.Batch) {}
+
+// TestRouteFrameAllocFree pins the relay's lone-frame path at zero
+// allocations: a frame that arrived outside a bundle and terminates
+// elsewhere is encoded straight into the next hop's open bundle, not into a
+// fresh copy first. Proc 0 of a two-process mesh relays a 1024-item frame
+// addressed to proc 1, whose receive loop only counts; the count is
+// process-wide.
+func TestRouteFrameAllocFree(t *testing.T) {
+	dir := t.TempDir()
+	hier := transport.NewHierTopo(nil, 2)
+	var counted atomic.Int64
+	arrived := make(chan struct{}, 1)
+	handlers := []transport.Handler{
+		func(wire.Frame) error { return nil },
+		func(wire.Frame) error {
+			counted.Add(1)
+			select {
+			case arrived <- struct{}{}:
+			default:
+			}
+			return nil
+		},
+	}
+	meshes := make([]*transport.Mesh, 2)
+	for p := range meshes {
+		meshes[p] = transport.NewMesh(transport.MeshConfig{Dir: dir, Self: p, Procs: 2},
+			handlers[p], make(chan transport.PeerExit, 2))
+		if err := meshes[p].Listen(); err != nil {
+			t.Fatal(err)
+		}
+		defer meshes[p].Close()
+	}
+	addrs := []string{meshes[0].Addr(), meshes[1].Addr()}
+	errs := make(chan error, 2)
+	for _, m := range meshes {
+		go func() { errs <- m.Connect(addrs) }()
+	}
+	for range meshes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	router := transport.NewRouter(transport.RouterConfig{Self: 0, Topo: hier, Mesh: meshes[0]})
+	defer router.Close()
+	pr := &peerReader{topo: cluster.SMP(1, 2, 1), proc: 0, hier: &hier}
+	pr.router.Store(router)
+
+	items := make([]wire.Item, 1024)
+	for i := range items {
+		items[i] = wire.Item{Dest: 1, Val: uint64(i)}
+	}
+	f, _, err := wire.Decode(wire.AppendItems(nil, 0, 1, items, true), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent int64
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := pr.routeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+		for counted.Load() < sent {
+			<-arrived
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per relayed lone frame, want 0", allocs)
+	}
+}

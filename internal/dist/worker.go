@@ -83,7 +83,8 @@ func WorkerMain(build BuildFunc) {
 // batches toward it — its direct peer link, or on a hierarchical run the
 // node-leader Router for a process more than one hop away — and every batch
 // the runtime seals goes there as it is. Which bytes then move — a socket
-// write, an in-place ring encode, a relay enqueue — is the link's business;
+// write, an in-place ring encode, an encode into the relay's open bundle for
+// the next hop — is the link's business;
 // the runtime's CrossCounts accounting, deadline-flush requests, and
 // quiescence protocol upstream never see the difference.
 //
@@ -133,7 +134,7 @@ func (t *remote) fail(peer int, err error) {
 
 // Send ships one sealed batch toward its destination process: a payloads
 // batch addresses a worker, the other shapes a process. A relayed batch is
-// encoded once, into the Router's queue; its send failures surface
+// encoded once, into its next hop's open bundle; its send failures surface
 // asynchronously through the Router's OnSendError. The dist.send-batch
 // fault point fires first; an injected Drop discards the batch (it
 // deliberately imbalances the cross counters — the run can then only end
@@ -683,20 +684,20 @@ type peerReader struct {
 func (pr *peerReader) dispatchFrame(f wire.Frame) error {
 	if pr.hier != nil {
 		if f.Kind == wire.KindBundle {
-			return f.EachFrame(func(raw []byte, inner wire.Frame) error {
-				return pr.routeFrame(inner, raw)
+			return f.EachFrame(func(_ []byte, inner wire.Frame) error {
+				return pr.routeFrame(inner)
 			})
 		}
-		return pr.routeFrame(f, nil)
+		return pr.routeFrame(f)
 	}
 	return pr.rtm.Receive(f)
 }
 
 // routeFrame delivers a frame terminating at this process or relays it
-// toward its destination. raw is the frame's complete encoding when the
-// caller already has it (an unbundled inner frame — it aliases the link's
-// receive buffer; the relay copies before returning); nil re-encodes.
-func (pr *peerReader) routeFrame(f wire.Frame, raw []byte) error {
+// toward its destination, re-encoded verbatim straight into the next hop's
+// open bundle (f aliases the link's receive buffer; the relay copies before
+// returning).
+func (pr *peerReader) routeFrame(f wire.Frame) error {
 	dest, err := pr.destProc(f)
 	if err != nil {
 		return err
@@ -708,10 +709,7 @@ func (pr *peerReader) routeFrame(f wire.Frame, raw []byte) error {
 	if r == nil {
 		return fmt.Errorf("dist: frame for proc %d arrived before routing started", dest)
 	}
-	if raw == nil {
-		raw = wire.AppendFrame(nil, f)
-	}
-	r.RelayRaw(pr.hier.NextHop(int(pr.proc), dest), raw)
+	r.RelayFrame(pr.hier.NextHop(int(pr.proc), dest), f)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 
 	"tramlib/internal/wire"
@@ -17,9 +18,9 @@ import (
 //
 // The pieces: HierTopo is the pure topology (leader election from the
 // per-proc node map, the link predicate Mesh restricts itself to, next-hop
-// resolution); Router is the per-process relay — an unbounded FIFO drained
-// by one goroutine that groups frames by next hop, bundles them, and ships
-// them over the established Mesh links.
+// resolution); Router is the per-process relay — one open bundle per next
+// hop that frames are encoded straight into, and one goroutine that seals
+// and ships the bundles over the established Mesh links.
 
 // HierTopo is the two-level routing topology derived from a per-proc node
 // map: which node each process lives on, which process leads each node, and
@@ -47,15 +48,6 @@ func NewHierTopo(nodes []int, procs int) HierTopo {
 	}
 	return t
 }
-
-// Procs returns the process count the topology was built for.
-func (t HierTopo) Procs() int { return len(t.nodes) }
-
-// NodeOf returns the node process p lives on.
-func (t HierTopo) NodeOf(p int) int { return t.nodes[p] }
-
-// Leader returns the leader process of node n.
-func (t HierTopo) Leader(n int) int { return t.leaders[n] }
 
 // IsLeader reports whether process p leads its node.
 func (t HierTopo) IsLeader(p int) bool { return t.leaders[t.nodes[p]] == p }
@@ -91,20 +83,6 @@ func (t HierTopo) NextHop(from, to int) int {
 	return t.leaders[t.nodes[from]]
 }
 
-// Links returns the number of directed links process p owns — what the
-// mesh establishes instead of Procs-1. Summed over p it is
-// 2*(nodes choose 2) pairs of leader links plus, per node, one star link
-// per non-leader process.
-func (t HierTopo) Links(p int) int {
-	n := 0
-	for q := range t.nodes {
-		if t.Linked(p, q) {
-			n++
-		}
-	}
-	return n
-}
-
 // RouterConfig parameterizes one process's relay.
 type RouterConfig struct {
 	// Self is this process's id; Topo the shared two-level topology.
@@ -123,47 +101,98 @@ type RouterConfig struct {
 	OnSendError func(hop int, err error)
 }
 
+// Bundle buffers. Each reserves bundleHeaderBytes at its front, and frames
+// are encoded or copied straight after that reserve, so a relayed frame is
+// written once per hop; the drain writes the KindBundle header over the
+// reserve and the whole buffer goes to the link as it is. A bundle seals when
+// the next frame would overflow its hop's cap or its buffer — a buffer is
+// never grown, which would copy it again.
+const (
+	// bundleBufBytes is a fresh buffer's capacity (smaller where the hop's
+	// cap is; larger for a frame that needs more).
+	bundleBufBytes = 256 << 10
+	// freeBytesPerHop bounds the buffer capacity one hop's free list keeps.
+	freeBytesPerHop = 4 << 20
+)
+
+var bundleHeaderBytes = wire.BundleFrameBytes(0)
+
 // Router is the per-process relay of two-level routing. Producers — the
 // runtime's remote seam at the origin (SendBatch, which encodes the batch
-// straight into the queue; Send for a frame already encoded), the bundle
-// demux on receive loops (RelayRaw) — enqueue complete frames; one goroutine
-// drains the queue, groups frames by next hop, and ships each group as a
-// KindBundle (or a lone frame verbatim). Enqueueing never blocks, so a
-// receive loop relaying a frame can never deadlock against a full link —
-// the same unbounded-inbox discipline the runtime's worker queues use.
+// straight into its next hop's open bundle; Send for a frame already
+// encoded), the bundle demux on receive loops (RelayFrame, RelayRaw) — add
+// complete frames; one goroutine drains every hop's bundles in order and
+// ships each, a bundle of one frame as that frame verbatim. Enqueueing never
+// blocks, so a receive loop relaying a frame can never deadlock against a
+// full link — the same unbounded-inbox discipline the runtime's worker
+// queues use.
 //
 // The router never touches the runtime's cross-process counters: a relayed
 // frame is counted once at its origin (send) and once at its final
 // destination (receive), so frames in leader transit keep the global
 // sent/recv balance open and Mattern-style quiescence cannot fire early.
 type Router struct {
-	cfg RouterConfig
-
-	mu    sync.Mutex
-	queue []relayItem
+	cfg    RouterConfig
+	hops   []*hopQueue // by proc id; nil where Self has no link
+	linked []*hopQueue // the non-nil hops, which each drain visits
 
 	wake chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
-
-	pool sync.Pool // *[]byte scratch, recycled after each flush
 }
 
-type relayItem struct {
-	hop int
-	buf *[]byte // pooled: the frame's encoding
+// hopQueue is the relay's state toward one next hop. Producers fill open
+// under mu; the drain goroutine takes the bundles under mu and ships them
+// outside it.
+type hopQueue struct {
+	id    int
+	limit int // BundleCap for this hop
+
+	mu        sync.Mutex
+	open      []byte   // nil, or the header reserve then n complete frames
+	n         int      // frames in open
+	sealed    []bundle // bundles closed before the drain took them, in order
+	free      [][]byte // recycled buffers, freeBytes of capacity in all
+	freeBytes int
+	failed    bool // a send failed; later frames are dropped
+}
+
+// bundle is one sealed buffer of n frames bound for h.
+type bundle struct {
+	h   *hopQueue
+	buf []byte
+	n   int
 }
 
 // NewRouter starts the relay goroutine over an established mesh.
 func NewRouter(cfg RouterConfig) *Router {
+	r := newRouter(cfg)
+	r.wg.Add(1)
+	go r.loop()
+	return r
+}
+
+// newRouter builds the router's hop queues without starting its drain.
+func newRouter(cfg RouterConfig) *Router {
 	r := &Router{
 		cfg:  cfg,
+		hops: make([]*hopQueue, len(cfg.Topo.nodes)),
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	r.pool.New = func() any { b := make([]byte, 0, 4096); return &b }
-	r.wg.Add(1)
-	go r.loop()
+	for q := range r.hops {
+		if !cfg.Topo.Linked(cfg.Self, q) {
+			continue
+		}
+		h := &hopQueue{id: q, limit: wire.DefaultMaxFrameBytes}
+		if cfg.BundleCap != nil {
+			if c := cfg.BundleCap(q); c > 0 {
+				h.limit = c
+			}
+		}
+		r.hops[q] = h
+		r.linked = append(r.linked, h)
+	}
 	return r
 }
 
@@ -174,34 +203,94 @@ func (r *Router) Send(destProc int, raw []byte) {
 }
 
 // SendBatch routes one batch from Self toward its final destination
-// process, encoding it once, straight into the relay's pooled buffer. The
+// process, encoding it once, straight into its next hop's open bundle. The
 // batch's storage is the caller's again when SendBatch returns.
 func (r *Router) SendBatch(destProc int, b wire.Batch) {
-	r.enqueue(r.cfg.Topo.NextHop(r.cfg.Self, destProc), b)
+	if h := r.reserve(r.cfg.Topo.NextHop(r.cfg.Self, destProc), b.FrameBytes()); h != nil {
+		h.open = b.Append(h.open)
+		r.commit(h)
+	}
 }
 
-// RelayRaw forwards a frame (or pre-grouped raw bytes) toward hop verbatim
-// — the receive-loop path for frames unbundled at a relay. raw stays owned
-// by the caller (it aliases the link's receive buffer).
+// RelayFrame forwards a decoded frame toward hop, re-encoding it verbatim
+// straight into the hop's open bundle — the receive-loop path for frames
+// that terminate elsewhere. f's payload stays owned by the caller (it
+// aliases the link's receive buffer).
+func (r *Router) RelayFrame(hop int, f wire.Frame) {
+	if h := r.reserve(hop, f.FrameBytes()); h != nil {
+		h.open = wire.AppendFrame(h.open, f)
+		r.commit(h)
+	}
+}
+
+// RelayRaw forwards one complete encoded frame toward hop verbatim. raw
+// stays owned by the caller.
 func (r *Router) RelayRaw(hop int, raw []byte) {
-	r.enqueue(hop, wire.Batch{Raw: raw})
+	if h := r.reserve(hop, len(raw)); h != nil {
+		h.open = append(h.open, raw...)
+		r.commit(h)
+	}
 }
 
-func (r *Router) enqueue(hop int, b wire.Batch) {
-	bp := r.pool.Get().(*[]byte)
-	*bp = b.Append((*bp)[:0])
-	r.mu.Lock()
-	r.queue = append(r.queue, relayItem{hop: hop, buf: bp})
-	r.mu.Unlock()
+// reserve returns hop's queue locked, with an open bundle that has room for
+// a size-byte frame — the open bundle is sealed first if the frame would
+// push it past the hop's cap or its buffer — or nil when the hop has failed
+// and the frame is dropped. commit finishes the append.
+func (r *Router) reserve(hop, size int) *hopQueue {
+	h := r.hops[hop]
+	if h == nil {
+		panic(fmt.Sprintf("transport: relay from proc %d to unlinked proc %d", r.cfg.Self, hop))
+	}
+	h.mu.Lock()
+	if h.failed {
+		h.mu.Unlock()
+		return nil
+	}
+	if h.open != nil && len(h.open)+size > min(h.limit, cap(h.open)) {
+		h.seal()
+	}
+	if h.open == nil {
+		h.open = h.buffer(bundleHeaderBytes + size)
+	}
+	return h
+}
+
+// commit counts the frame just appended to h's open bundle, unlocks h and
+// wakes the drain.
+func (r *Router) commit(h *hopQueue) {
+	h.n++
+	h.mu.Unlock()
 	select {
 	case r.wake <- struct{}{}:
 	default:
 	}
 }
 
+// buffer returns an empty bundle buffer (the header reserved) with capacity
+// for at least need bytes, recycled when the free list has one. h.mu is
+// held.
+func (h *hopQueue) buffer(need int) []byte {
+	if k := len(h.free) - 1; k >= 0 {
+		b := h.free[k]
+		h.free[k] = nil
+		h.free = h.free[:k]
+		h.freeBytes -= cap(b)
+		if cap(b) >= need {
+			return b[:bundleHeaderBytes]
+		}
+	}
+	return make([]byte, bundleHeaderBytes, max(min(bundleBufBytes, h.limit), need))
+}
+
+// seal queues the open bundle for the drain. h.mu is held.
+func (h *hopQueue) seal() {
+	h.sealed = append(h.sealed, bundle{h: h, buf: h.open, n: h.n})
+	h.open, h.n = nil, 0
+}
+
 // Close stops the relay goroutine. Pending frames are dropped — at a clean
-// finish the queue is empty by construction (an undelivered frame keeps the
-// quiescence counters unbalanced), and on an abort delivery is moot.
+// finish every bundle is empty by construction (an undelivered frame keeps
+// the quiescence counters unbalanced), and on an abort delivery is moot.
 func (r *Router) Close() {
 	select {
 	case <-r.done:
@@ -213,24 +302,14 @@ func (r *Router) Close() {
 
 func (r *Router) loop() {
 	defer r.wg.Done()
-	failed := make(map[int]bool)
+	var out []bundle // reused across drains
 	for {
-		r.mu.Lock()
-		batch := r.queue
-		r.queue = nil
-		r.mu.Unlock()
-		if len(batch) == 0 {
-			select {
-			case <-r.wake:
-				continue
-			case <-r.done:
-				return
-			}
+		select {
+		case <-r.wake:
+		case <-r.done:
+			return
 		}
-		r.flush(batch, failed)
-		for _, it := range batch {
-			r.pool.Put(it.buf)
-		}
+		out = r.drain(out)
 		select {
 		case <-r.done:
 			return
@@ -239,98 +318,76 @@ func (r *Router) loop() {
 	}
 }
 
-// openBundle accumulates frames bound for one next hop between emits.
-type openBundle struct {
-	inner []byte
-	count int
+// drain ships every bundle queued so far and recycles the buffers. out is
+// scratch storage, returned for the next drain.
+func (r *Router) drain(out []bundle) []bundle {
+	out = r.take(out[:0])
+	r.ship(out)
+	r.recycle(out)
+	clear(out)
+	return out
 }
 
-// flush ships one drained batch: frames are grouped by next hop in arrival
-// order, each group emitted as one bundle per cap-sized chunk (a lone frame
-// goes verbatim — no envelope to pay). A send failure marks the hop dead,
-// reports it once, and drops that hop's remaining frames; other hops keep
-// flowing.
-func (r *Router) flush(batch []relayItem, failed map[int]bool) {
-	open := make(map[int]*openBundle)
-	var order []int
-	for _, it := range batch {
-		if failed[it.hop] {
+// take seals every hop's open bundle and moves all sealed bundles to out,
+// each hop's in the order they filled.
+func (r *Router) take(out []bundle) []bundle {
+	for _, h := range r.linked {
+		h.mu.Lock()
+		if h.open != nil {
+			h.seal()
+		}
+		out = append(out, h.sealed...)
+		clear(h.sealed)
+		h.sealed = h.sealed[:0]
+		h.mu.Unlock()
+	}
+	return out
+}
+
+// ship sends the drained bundles: one frame verbatim, several under a
+// KindBundle header written over the reserve. A send failure marks the hop
+// failed, reports it once, and drops the hop's remaining bundles; other hops
+// keep flowing.
+func (r *Router) ship(out []bundle) {
+	for _, b := range out {
+		if b.h.failed { // written only by this goroutine
 			continue
 		}
-		raw := *it.buf
-		capBytes := r.capFor(it.hop)
-		capPayload := capBytes - wire.BundleFrameBytes(0)
-		b := open[it.hop]
-		if b == nil {
-			b = &openBundle{}
-			open[it.hop] = b
-			order = append(order, it.hop)
+		raw := b.buf[bundleHeaderBytes:]
+		if b.n > 1 {
+			wire.AppendBundleHeader(b.buf[:0], uint32(r.cfg.Self), uint32(b.h.id), b.n, len(raw))
+			raw = b.buf
 		}
-		if b.count > 0 && len(b.inner)+len(raw) > capPayload {
-			r.emit(it.hop, b, failed)
-		}
-		if len(raw) > capPayload {
-			// Oversized for an envelope: flush what's open (order!) and
-			// ship it alone.
-			if b.count > 0 {
-				r.emit(it.hop, b, failed)
-			}
-			if !failed[it.hop] {
-				r.sendRaw(it.hop, raw, failed)
-			}
+		p := r.cfg.Mesh.Peer(b.h.id)
+		if p == nil {
+			r.fail(b.h, ErrPeerDead)
 			continue
 		}
-		b.inner = append(b.inner, raw...)
-		b.count++
-	}
-	for _, hop := range order {
-		if b := open[hop]; b.count > 0 && !failed[hop] {
-			r.emit(hop, b, failed)
+		if err := p.Send(wire.Batch{Raw: raw}); err != nil {
+			r.fail(b.h, err)
 		}
 	}
 }
 
-// emit ships and resets one open bundle: a single frame verbatim, several
-// wrapped in one KindBundle addressed to the next hop.
-func (r *Router) emit(hop int, b *openBundle, failed map[int]bool) {
-	if b.count == 1 {
-		r.sendRaw(hop, b.inner, failed)
-	} else {
-		bp := r.pool.Get().(*[]byte)
-		*bp = wire.AppendBundle((*bp)[:0], uint32(r.cfg.Self), uint32(hop), b.count, b.inner)
-		r.sendRaw(hop, *bp, failed)
-		r.pool.Put(bp)
-	}
-	b.inner = b.inner[:0]
-	b.count = 0
-}
-
-func (r *Router) sendRaw(hop int, raw []byte, failed map[int]bool) {
-	p := r.cfg.Mesh.Peer(hop)
-	if p == nil {
-		r.fail(hop, ErrPeerDead, failed)
-		return
-	}
-	if err := p.Send(wire.Batch{Raw: raw}); err != nil {
-		r.fail(hop, err, failed)
-	}
-}
-
-func (r *Router) fail(hop int, err error, failed map[int]bool) {
-	if failed[hop] {
-		return
-	}
-	failed[hop] = true
+func (r *Router) fail(h *hopQueue, err error) {
+	h.mu.Lock()
+	h.failed = true
+	h.mu.Unlock()
 	if r.cfg.OnSendError != nil {
-		r.cfg.OnSendError(hop, err)
+		r.cfg.OnSendError(h.id, err)
 	}
 }
 
-func (r *Router) capFor(hop int) int {
-	if r.cfg.BundleCap != nil {
-		if c := r.cfg.BundleCap(hop); c > 0 {
-			return c
+// recycle returns shipped buffers to their hops' free lists, up to
+// freeBytesPerHop each.
+func (r *Router) recycle(out []bundle) {
+	for _, b := range out {
+		h := b.h
+		h.mu.Lock()
+		if h.freeBytes+cap(b.buf) <= freeBytesPerHop {
+			h.free = append(h.free, b.buf)
+			h.freeBytes += cap(b.buf)
 		}
+		h.mu.Unlock()
 	}
-	return wire.DefaultMaxFrameBytes
 }

@@ -1,15 +1,42 @@
 package transport
 
 import (
+	"bytes"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tramlib/internal/transport/shmring"
 	"tramlib/internal/wire"
 )
+
+// Procs returns the process count the topology was built for.
+func (t HierTopo) Procs() int { return len(t.nodes) }
+
+// NodeOf returns the node process p lives on.
+func (t HierTopo) NodeOf(p int) int { return t.nodes[p] }
+
+// Leader returns the leader process of node n.
+func (t HierTopo) Leader(n int) int { return t.leaders[n] }
+
+// Links returns the number of directed links process p owns — what the
+// mesh establishes instead of Procs-1. Summed over p it is
+// 2*(nodes choose 2) pairs of leader links plus, per node, one star link
+// per non-leader process.
+func (t HierTopo) Links(p int) int {
+	n := 0
+	for q := range t.nodes {
+		if t.Linked(p, q) {
+			n++
+		}
+	}
+	return n
+}
 
 func TestHierTopoElection(t *testing.T) {
 	// Two nodes of three processes each: leaders are the lowest proc ids.
@@ -102,31 +129,24 @@ type hierHarness struct {
 	router *Router
 	errc   chan PeerExit
 
-	mu      sync.Mutex
-	frames  []wire.Frame
-	bundles int // KindBundle envelopes seen on this process's links
+	mu     sync.Mutex
+	frames []wire.Frame
 }
 
 func (h *hierHarness) handle(f wire.Frame) error {
 	if f.Kind == wire.KindBundle {
-		h.mu.Lock()
-		h.bundles++
-		h.mu.Unlock()
-		return f.EachFrame(func(raw []byte, in wire.Frame) error {
-			h.dispatch(in, raw)
+		return f.EachFrame(func(_ []byte, in wire.Frame) error {
+			h.dispatch(in)
 			return nil
 		})
 	}
-	h.dispatch(f, nil)
+	h.dispatch(f)
 	return nil
 }
 
-func (h *hierHarness) dispatch(f wire.Frame, raw []byte) {
+func (h *hierHarness) dispatch(f wire.Frame) {
 	if int(f.Dest) != h.self {
-		if raw == nil {
-			raw = wire.AppendFrame(nil, f)
-		}
-		h.router.RelayRaw(h.topo.NextHop(h.self, int(f.Dest)), raw)
+		h.router.RelayFrame(h.topo.NextHop(h.self, int(f.Dest)), f)
 		return
 	}
 	f.Payload = append([]byte(nil), f.Payload...)
@@ -346,71 +366,249 @@ func TestHierMeshLinkCount(t *testing.T) {
 	}
 }
 
-// TestHierRouterBundling drives the router's flush directly — a drained
-// batch of same-hop frames must coalesce into one KindBundle envelope, and
-// the cap must split an oversized batch while preserving per-hop order.
+// linkFrames returns the frames tm recorded so far and forgets them.
+func (tm *testMesh) linkFrames() []wire.Frame {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	fs := tm.frames
+	tm.frames = nil
+	return fs
+}
+
+// unbundle splits the link frames a router sent into the frames it relayed,
+// each re-encoded, and the envelope shape: per link frame, the number of
+// frames a bundle carried, or 0 for a frame sent verbatim.
+func unbundle(t *testing.T, link []wire.Frame) (raws [][]byte, shape []int) {
+	t.Helper()
+	for _, f := range link {
+		if f.Kind != wire.KindBundle {
+			raws = append(raws, wire.AppendFrame(nil, f))
+			shape = append(shape, 0)
+			continue
+		}
+		if err := f.EachFrame(func(raw []byte, _ wire.Frame) error {
+			raws = append(raws, raw)
+			return nil
+		}); err != nil {
+			t.Fatalf("bundle: %v", err)
+		}
+		shape = append(shape, int(f.Count))
+	}
+	return raws, shape
+}
+
+// TestHierRouterBundling pins how one drain packs a hop's frames: frames
+// bound for one hop coalesce into one envelope, in order; a cap splits them
+// into bundles that fit it (a lone frame left over goes verbatim); a cap
+// below one frame sends every frame verbatim; and a frame over the cap ships
+// alone between the bundles around it.
 func TestHierRouterBundling(t *testing.T) {
-	topo := NewHierTopo([]int{0, 1}, 2)
-	hs := buildHier(t, topo, func(self, peer int) Kind { return Socket })
-
-	frames := make([][]byte, 5)
-	var batch []relayItem
-	for i := range frames {
-		frames[i] = wire.AppendPayloads(nil, 0, 1, []uint64{uint64(i), uint64(i), uint64(i)}, false)
-		batch = append(batch, relayItem{hop: 1, buf: &frames[i]})
+	tms := buildMeshes(t, 2, func(self, peer int) Kind { return Socket })
+	t.Cleanup(func() {
+		for _, tm := range tms {
+			tm.m.Close()
+		}
+	})
+	small := make([][]byte, 5)
+	for i := range small {
+		small[i] = wire.AppendPayloads(nil, 0, 1, []uint64{uint64(i), uint64(i), uint64(i)}, false)
 	}
-
-	// Uncapped: the whole batch travels as one bundle.
-	hs[0].router.flush(batch, map[int]bool{})
-	got := hs[1].waitFrames(t, 5)
-	if len(got) != 5 {
-		t.Fatalf("received %d frames, want 5", len(got))
+	big := wire.AppendPayloads(nil, 0, 1, make([]uint64, 64), false)
+	twoSmall := wire.BundleFrameBytes(2 * len(small[0]))
+	for _, tc := range []struct {
+		name   string
+		cap    int
+		frames [][]byte
+		shape  []int
+	}{
+		{"uncapped", 0, small, []int{5}},
+		{"mid cap", twoSmall, small, []int{2, 2, 0}},
+		{"cap below a frame", 1, small, []int{0, 0, 0, 0, 0}},
+		{"oversized frame", twoSmall, [][]byte{small[0], small[1], big, small[2], small[3]}, []int{2, 0, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Not started: the test drains, so every frame is queued first.
+			r := newRouter(RouterConfig{Self: 0, Topo: NewHierTopo(nil, 2), Mesh: tms[0].m,
+				BundleCap: func(int) int { return tc.cap }})
+			for _, raw := range tc.frames {
+				r.Send(1, raw)
+			}
+			r.drain(nil)
+			tms[1].waitFrames(t, len(tc.shape))
+			raws, shape := unbundle(t, tms[1].linkFrames())
+			if !slices.Equal(shape, tc.shape) {
+				t.Fatalf("envelopes %v, want %v", shape, tc.shape)
+			}
+			if !slices.EqualFunc(raws, tc.frames, bytes.Equal) {
+				t.Fatal("relayed frames differ from the frames sent, or arrived out of order")
+			}
+		})
 	}
-	for i, f := range got {
-		var buf [3]uint64
-		if v := f.Payloads(buf[:]); v[0] != uint64(i) {
-			t.Fatalf("frame %d out of order: payload %v", i, v)
+}
+
+// TestHierRouterRandomized drives a running router from one producer per
+// next hop, concurrently: random frame sizes (some beyond a fresh bundle
+// buffer), every entry point, a random cap per hop, and a shm hop capped at
+// its ring's record limit as internal/dist caps it. Every hop must receive
+// exactly its frames, byte-identical and in order, with every bundle within
+// the hop's cap and no bundle of one.
+func TestHierRouterRandomized(t *testing.T) {
+	const procs, perHop, ringBytes = 5, 300, 64 << 10
+	shmCap := shmring.MaxRecordBytes(ringBytes)
+	topo := NewHierTopo(nil, procs) // proc 0 leads, linked to every other
+	kindOf := func(self, peer int) Kind {
+		switch self + peer {
+		case 1:
+			return Shm
+		case 3:
+			return Socket
+		}
+		return TCP
+	}
+	tms := buildMeshesCfg(t, procs, kindOf, func(c *MeshConfig) {
+		self := c.Self
+		c.Linked = func(q int) bool { return topo.Linked(self, q) }
+		c.RingBytes = ringBytes
+	})
+	rng := rand.New(rand.NewPCG(1, 2))
+	caps := []int{0, shmCap, 1 + rng.IntN(4<<10), 1 + rng.IntN(512<<10), 0}
+	r := NewRouter(RouterConfig{Self: 0, Topo: topo, Mesh: tms[0].m,
+		BundleCap: func(hop int) int { return caps[hop] }})
+	t.Cleanup(func() {
+		r.Close()
+		for _, tm := range tms {
+			tm.m.Close()
+		}
+	})
+
+	// Frames are generated up front: the producers share no state.
+	type frame struct {
+		via   int // 0 SendBatch, 1 Send, 2 RelayRaw, 3 RelayFrame
+		batch wire.Batch
+		raw   []byte
+	}
+	want := make([][]frame, procs)
+	for hop := 1; hop < procs; hop++ {
+		for i := 0; i < perHop; i++ {
+			words := rng.IntN(1024)
+			switch {
+			case hop == 1:
+				words = rng.IntN((shmCap - wire.PayloadsFrameBytes(0)) / 8)
+			case rng.IntN(50) == 0:
+				words = bundleBufBytes/8 + rng.IntN(1024) // a buffer of its own
+			}
+			b := wire.Batch{Kind: wire.KindPayloads, Source: 0, Dest: uint32(hop), Full: i%2 == 0,
+				Payloads: make([]uint64, words)}
+			for k := range b.Payloads {
+				b.Payloads[k] = rng.Uint64()
+			}
+			want[hop] = append(want[hop], frame{via: rng.IntN(4), batch: b, raw: b.Append(nil)})
 		}
 	}
-	hs[1].mu.Lock()
-	bundles := hs[1].bundles
-	hs[1].mu.Unlock()
-	if bundles != 1 {
-		t.Fatalf("batch of 5 same-hop frames traveled in %d bundles, want 1", bundles)
+	var wg sync.WaitGroup
+	for hop := 1; hop < procs; hop++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, f := range want[hop] {
+				switch f.via {
+				case 0:
+					r.SendBatch(hop, f.batch)
+				case 1:
+					r.Send(hop, f.raw)
+				case 2:
+					r.RelayRaw(hop, f.raw)
+				case 3:
+					dec, _, err := wire.Decode(f.raw, 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					r.RelayFrame(hop, dec)
+				}
+			}
+		}()
 	}
-	// A cap below a single frame's size forces every frame verbatim.
-	tiny := &Router{cfg: RouterConfig{
-		Self: 0,
-		Topo: topo,
-		Mesh: hs[0].m,
-		// Below even a single frame's size: everything ships verbatim.
-		BundleCap: func(hop int) int { return 1 },
-	}}
-	tiny.pool.New = func() any { b := make([]byte, 0, 64); return &b }
-	tiny.flush(batch, map[int]bool{})
-	got = hs[1].waitFrames(t, 10)
-	for i, f := range got[5:] {
-		var buf [3]uint64
-		if v := f.Payloads(buf[:]); v[0] != uint64(i) {
-			t.Fatalf("capped frame %d out of order: payload %v", i, v)
+	wg.Wait()
+
+	for hop := 1; hop < procs; hop++ {
+		capBytes := caps[hop]
+		if capBytes == 0 {
+			capBytes = wire.DefaultMaxFrameBytes
+		}
+		var raws [][]byte
+		deadline := time.Now().Add(20 * time.Second)
+		for len(raws) < perHop {
+			if time.Now().After(deadline) {
+				t.Fatalf("hop %d: %d of %d frames arrived", hop, len(raws), perHop)
+			}
+			link := tms[hop].linkFrames()
+			got, shape := unbundle(t, link)
+			for k, n := range shape {
+				if n == 1 {
+					t.Fatalf("hop %d: a bundle of one frame", hop)
+				}
+				if size := link[k].FrameBytes(); n > 1 && size > capBytes {
+					t.Fatalf("hop %d: %d-byte bundle over the %d-byte cap", hop, size, capBytes)
+				}
+			}
+			raws = append(raws, got...)
+			time.Sleep(time.Millisecond)
+		}
+		if len(raws) != perHop {
+			t.Fatalf("hop %d received %d frames, want %d", hop, len(raws), perHop)
+		}
+		for i, raw := range raws {
+			if !bytes.Equal(raw, want[hop][i].raw) {
+				t.Fatalf("hop %d: frame %d differs from the %d-th sent", hop, i, i)
+			}
 		}
 	}
+}
 
-	// A mid-range cap splits into several bundles, still in order.
-	mid := &Router{cfg: RouterConfig{
-		Self: 0,
-		Topo: topo,
-		Mesh: hs[0].m,
-		// Room for two frames per bundle.
-		BundleCap: func(hop int) int { return wire.BundleFrameBytes(2 * len(frames[0])) },
-	}}
-	mid.pool.New = func() any { b := make([]byte, 0, 256); return &b }
-	mid.flush(batch, map[int]bool{})
-	got = hs[1].waitFrames(t, 15)
-	for i, f := range got[10:] {
-		var buf [3]uint64
-		if v := f.Payloads(buf[:]); v[0] != uint64(i) {
-			t.Fatalf("mid-cap frame %d out of order: payload %v", i, v)
+// TestRouterAllocFree pins the relay's steady state at zero allocations per
+// frame, through a running router to a socket hop, drained and written: a
+// 1024-item batch encoded by SendBatch, and a lone frame forwarded by
+// RelayRaw or RelayFrame. The count is process-wide; the receiver only
+// counts, and reuses its read buffer.
+func TestRouterAllocFree(t *testing.T) {
+	items := make([]wire.Item, 1024)
+	for i := range items {
+		items[i] = wire.Item{Dest: uint32(i % 4), Val: uint64(i)}
+	}
+	tms := buildMeshes(t, 2, func(self, peer int) Kind { return Socket })
+	tms[1].arrived = make(chan struct{}, 1)
+	tms[1].discard.Store(true)
+	r := NewRouter(RouterConfig{Self: 0, Topo: NewHierTopo(nil, 2), Mesh: tms[0].m})
+	t.Cleanup(func() {
+		r.Close()
+		for _, tm := range tms {
+			tm.m.Close()
+		}
+	})
+	raw := wire.AppendItems(nil, 0, 1, items, true)
+	f, _, err := wire.Decode(raw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent int64
+	for _, tc := range []struct {
+		name string
+		send func()
+	}{
+		{"SendBatch", func() { r.SendBatch(1, wire.Batch{Kind: wire.KindItems, Full: true, Dest: 1, Items: items}) }},
+		{"RelayRaw", func() { r.RelayRaw(1, raw) }},
+		{"RelayFrame", func() { r.RelayFrame(1, f) }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			tc.send()
+			sent++
+			for tms[1].counted.Load() < sent {
+				<-tms[1].arrived
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocations per relayed 1024-item frame, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -20,10 +20,12 @@ type testMesh struct {
 
 	// discard, once set, makes handle only count frames (in counted): a
 	// receiver that allocates nothing. A non-nil hold then also parks the
-	// receive loop in handle until hold is closed.
+	// receive loop in handle until hold is closed; a non-nil arrived gets a
+	// token (dropped when one is already pending) after each count.
 	discard atomic.Bool
 	counted atomic.Int64
 	hold    chan struct{}
+	arrived chan struct{}
 }
 
 func (tm *testMesh) handle(f wire.Frame) error {
@@ -31,6 +33,12 @@ func (tm *testMesh) handle(f wire.Frame) error {
 		tm.counted.Add(1)
 		if tm.hold != nil {
 			<-tm.hold
+		}
+		if tm.arrived != nil {
+			select {
+			case tm.arrived <- struct{}{}:
+			default:
+			}
 		}
 		return nil
 	}

@@ -19,7 +19,8 @@ import (
 // one bidirectional stream connection per unordered peer pair, established
 // by the higher-numbered process dialing the lower-numbered one's listener.
 // Encodes under a write lock into a reused scratch buffer, then writes the
-// frame in one syscall.
+// frame in one syscall; a frame already encoded (Batch.Raw) is written from
+// the caller's slice as it is.
 type socketPeer struct {
 	peer      int
 	conn      net.Conn
@@ -46,20 +47,23 @@ func newSocketPeer(peer int, conn net.Conn, rd *wire.Reader, writeWait time.Dura
 func (p *socketPeer) Send(b wire.Batch) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if b.Raw != nil {
+		return p.write(b.Raw)
+	}
 	p.buf = b.Append(p.buf[:0])
-	return p.write()
+	return p.write(p.buf)
 }
 
-// write flushes p.buf to the connection, classifying the failure modes the
+// write writes one frame to the connection, classifying the failure modes the
 // run-level failure detector distinguishes: a broken pipe or connection
 // reset is the peer process dying (ErrPeerDead); a write-deadline expiry is
 // a live peer that stopped draining (ErrStalled); anything after our own
 // Close is local teardown, left unclassified.
-func (p *socketPeer) write() error {
+func (p *socketPeer) write(frame []byte) error {
 	if p.writePoint != "" {
 		switch faultinject.Fire(p.writePoint) {
 		case faultinject.Drop:
-			return nil // silently discard the encoded batch
+			return nil // silently discard the frame
 		case faultinject.Error:
 			return fmt.Errorf("transport: peer %d write: injected fault", p.peer)
 		}
@@ -67,7 +71,7 @@ func (p *socketPeer) write() error {
 	if p.writeWait > 0 {
 		_ = p.conn.SetWriteDeadline(time.Now().Add(p.writeWait))
 	}
-	_, err := p.conn.Write(p.buf)
+	_, err := p.conn.Write(frame)
 	switch {
 	case err == nil:
 		return nil

@@ -12,11 +12,12 @@
 // Three implementations exist, selected per peer pair by the mesh's node
 // grouping:
 //
-//   - Socket: the PR-4 data plane — wire-framed batches on a full mesh of
-//     Unix-domain stream sockets. Every batch pays an encode into a scratch
-//     buffer, a write syscall, a kernel socket-buffer copy, and a read
-//     syscall. This is the "framed slow path" the paper's same-node argument
-//     is measured against.
+//   - Socket: wire-framed batches on a full mesh of Unix-domain stream
+//     sockets. Every batch pays an encode into a scratch buffer, a write
+//     syscall, a kernel socket-buffer copy, and a read syscall; a frame
+//     already encoded (Batch.Raw, such as a relay's bundle) is written from
+//     the caller's buffer without re-encoding. This is the "framed slow
+//     path" the paper's same-node argument is measured against.
 //
 //   - Shm: an mmap-backed SPSC byte ring per *directed* peer pair
 //     (internal/transport/shmring). The sender encodes the identical wire

@@ -300,8 +300,16 @@ func AppendControl(buf []byte, source, opcode uint32, doc []byte) []byte {
 // accumulated by a relay from frames it already has in encoded form. The
 // encoder trusts the producer; the decoder re-validates every inner frame.
 func AppendBundle(buf []byte, source, destProc uint32, count int, inner []byte) []byte {
-	buf = appendHeader(buf, KindBundle, 0, source, destProc, uint32(count), len(inner))
-	return append(buf, inner...)
+	return append(AppendBundleHeader(buf, source, destProc, count, len(inner)), inner...)
+}
+
+// AppendBundleHeader appends the BundleFrameBytes(0) bytes of length prefix
+// and header that open a KindBundle frame of count inner frames totalling
+// innerBytes. A relay that reserves that many bytes at the front of a buffer
+// and appends the inner frames after them seals the bundle in place with
+// AppendBundleHeader(buf[:0], ...).
+func AppendBundleHeader(buf []byte, source, destProc uint32, count, innerBytes int) []byte {
+	return appendHeader(buf, KindBundle, 0, source, destProc, uint32(count), innerBytes)
 }
 
 // Frame is one decoded frame: the header plus the raw payload bytes, which
@@ -310,6 +318,10 @@ type Frame struct {
 	Header
 	Payload []byte
 }
+
+// FrameBytes returns the frame's encoded size, length prefix included —
+// what AppendFrame appends.
+func (f Frame) FrameBytes() int { return prefixBytes + HeaderBytes + len(f.Payload) }
 
 // AppendFrame re-encodes a decoded frame verbatim — header fields and
 // payload unchanged — producing bytes identical to the original encoding.
@@ -533,6 +545,7 @@ func (f Frame) EachFrame(fn func(raw []byte, inner Frame) error) error {
 // returned frames alias it and are valid until the next Next call.
 type Reader struct {
 	r        io.Reader
+	prefix   [prefixBytes]byte // a field, not a local, so reading it does not allocate
 	buf      []byte
 	maxFrame int
 }
@@ -549,11 +562,10 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 // Next reads, validates, and returns the next frame. io.EOF at a frame
 // boundary is returned as io.EOF; EOF mid-frame is io.ErrUnexpectedEOF.
 func (r *Reader) Next() (Frame, error) {
-	var prefix [prefixBytes]byte
-	if _, err := io.ReadFull(r.r, prefix[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.prefix[:]); err != nil {
 		return Frame{}, err
 	}
-	length := int(binary.LittleEndian.Uint32(prefix[:]))
+	length := int(binary.LittleEndian.Uint32(r.prefix[:]))
 	if length > r.maxFrame {
 		return Frame{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, length, r.maxFrame)
 	}

@@ -119,11 +119,22 @@ func TestBundleRoundTrip(t *testing.T) {
 		if inf.Kind != wantKinds[i] {
 			t.Fatalf("inner frame %d kind %v, want %v", i, inf.Kind, wantKinds[i])
 		}
+		if re := AppendFrame(nil, inf); !bytes.Equal(re, raw) || inf.FrameBytes() != len(raw) {
+			t.Fatalf("inner frame %d re-encodes to %d bytes (FrameBytes %d), want its %d raw bytes", i, len(re), inf.FrameBytes(), len(raw))
+		}
 		i++
 		return nil
 	})
 	if err != nil || i != 3 {
 		t.Fatalf("EachFrame: err=%v, iterated %d of 3", err, i)
+	}
+
+	// Sealing in place — header written over a reserved front — encodes the
+	// same bytes as AppendBundle.
+	inPlace := append(make([]byte, BundleFrameBytes(0)), inner...)
+	AppendBundleHeader(inPlace[:0], 1, 4, 3, len(inner))
+	if !bytes.Equal(inPlace, buf) {
+		t.Fatal("bundle sealed in place differs from AppendBundle")
 	}
 
 	// An empty bundle is legal (a relay flushing nothing encodes nothing in
